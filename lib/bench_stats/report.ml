@@ -3,6 +3,8 @@
    schema bump is an explicit, detectable event rather than silent field
    drift. *)
 
+open Obs
+
 let schema = "wavefront-bench/v1"
 
 type t = {
@@ -16,7 +18,7 @@ let v ?(label = "local") ?(meta = []) ?created_at results =
   let created_at =
     match created_at with
     | Some t -> t
-    | None -> Obs.Clock.realtime () /. 1e6
+    | None -> Clock.realtime () /. 1e6
   in
   { label; created_at; meta; results }
 

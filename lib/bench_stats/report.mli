@@ -20,7 +20,7 @@ val v :
 val to_json : t -> string
 
 val of_json : string -> t
-(** Raises {!Json.Parse_error} on malformed input or a schema mismatch. *)
+(** Raises {!Obs.Json.Parse_error} on malformed input or a schema mismatch. *)
 
 val write : string -> t -> unit
 val read : string -> t

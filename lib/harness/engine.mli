@@ -1,12 +1,13 @@
 (** Engine selection for the observed (simulated) side of the report
     workflows.
 
-    Every report pairs an observed simulation against the timed dataflow
-    reference. [Event] is the event-level simulator (fibers, per-event
-    heap, bus contention); [Batched] is the wave-batched flat-array
-    engine, which shares the dataflow replay's LogGP cost arithmetic and
-    scales to million-rank grids. Reports accept the choice as
-    [?engine] and otherwise run unchanged. *)
+    Every report pairs an observed simulation against the analytic term
+    schedule, which {!Wrun.Batched} produces. [Event] is the event-level
+    simulator (fibers, per-event heap, bus contention); [Batched] is the
+    wave-batched flat-array engine, which charges the model's
+    per-operation LogGP costs ({!Wrun.Costs}) and scales to million-rank
+    grids. Reports accept the choice as [?engine] and otherwise run
+    unchanged. *)
 
 type t = Event | Batched
 

@@ -1,29 +1,29 @@
 (* The workflow behind `wavefront idlewave`: inject the spec's idle-wave
    sources into a control/perturbed pair of runs on the event-level
-   simulator and on the timed dataflow backend (optionally on the real
-   shared-memory kernel too), run the differential front detector on each
-   pair, and reconcile the measured propagation speed and decay with the
-   closed-form Perturb.Idle_model prediction built from the same LogGP
-   platform numbers.
+   simulator and on the batched engine's analytic term schedule
+   (optionally on the real shared-memory kernel too), run the
+   differential front detector on each pair, and reconcile the measured
+   propagation speed and decay with the closed-form Perturb.Idle_model
+   prediction built from the same LogGP platform numbers.
 
    On a silent system with single-core nodes and the bus model off, the
-   simulator and the timed dataflow backend produce identical timelines
-   cell for cell, so their detectors agree exactly and both match the
-   analytic hop cost to float precision; the real kernel lands within a
-   busy-wait tolerance. *)
+   simulator and the model produce identical timelines cell for cell, so
+   their detectors agree exactly and both match the analytic hop cost to
+   float precision; the real kernel lands within a busy-wait
+   tolerance. *)
 
 open Wavefront_core
 open Wgrid
 
 type t = {
   spec : Perturb.Spec.t;
-  model : Perturb.Idle_model.t option;  (** the closed-form prediction *)
+  analytic : Perturb.Idle_model.t option;  (** the closed-form prediction *)
   sim : Obs.Idle_wave.t;  (** detector on the event-level simulator pair *)
-  dataflow : Obs.Idle_wave.t;  (** detector on the timed dataflow pair *)
+  model : Obs.Idle_wave.t;  (** detector on the batched model pair *)
   real : Obs.Idle_wave.t option;  (** detector on the real kernel pair *)
   timeline_base : Obs.Timeline.t;  (** control simulator run *)
   timeline : Obs.Timeline.t;  (** perturbed simulator run *)
-  identity : bool;  (** perturbed sim and dataflow timelines identical *)
+  identity : bool;  (** perturbed sim and model timelines identical *)
   reconcile : Table.t;
   runtime : (string * Obs.Runtime.delta) list;
       (** host-side cost of producing this report, per phase *)
@@ -63,17 +63,18 @@ let run ?(real = false) ?(model_bus = true) ?(engine = Engine.Event)
         let base = sim_pair None in
         (base, sim_pair (Some spec)))
   in
-  (* Timed dataflow pair: the analytic term schedule under the same spec. *)
+  (* Model pair: the batched engine's analytic term schedule under the
+     same spec. *)
   let costs = Wrun.Costs.loggp ~cmp:cfg.cmp cfg.platform cfg.pgrid app in
-  let df_pair perturb =
+  let model_pair perturb =
     let tr = Obs.Tracer.create ~capacity () in
-    ignore (Wrun.Dataflow.run ?perturb ~costs ~obs:tr cfg.pgrid app);
+    ignore (Wrun.Batched.run ?perturb ~obs:tr ~costs cfg.pgrid app);
     timeline_of tr
   in
-  let df_base, df =
-    Obs.Runtime.phase phases "dataflow" (fun () ->
-        let base = df_pair None in
-        (base, df_pair (Some spec)))
+  let model_base, model_tl =
+    Obs.Runtime.phase phases "model" (fun () ->
+        let base = model_pair None in
+        (base, model_pair (Some spec)))
   in
   (* Hop distance between ranks: the wavefront-diagonal difference, which
      on a chain is just the rank difference. *)
@@ -114,8 +115,10 @@ let run ?(real = false) ?(model_bus = true) ?(engine = Engine.Event)
   let sim_detect =
     Obs.Idle_wave.detect ~baseline:timeline_base ~distance timeline
   in
-  let df_detect = Obs.Idle_wave.detect ~baseline:df_base ~distance df in
-  let identity = Obs.Timeline.equal timeline df in
+  let model_detect =
+    Obs.Idle_wave.detect ~baseline:model_base ~distance model_tl
+  in
+  let identity = Obs.Timeline.equal timeline model_tl in
   (* Analytic side: the idle-wave term on the link the wave rides — the
      x-neighbor link when the grid has columns, else the y-neighbor one.
      Rank 0's downstream neighbor is rank 1 either way (row-major). *)
@@ -125,7 +128,7 @@ let run ?(real = false) ?(model_bus = true) ?(engine = Engine.Event)
   in
   let hop_cost = Wrun.Costs.hop_latency costs ~src:0 ~dst:1 msg in
   let wave_period = Wrun.Costs.steady_period costs ~src:0 ~dst:1 msg in
-  let model =
+  let analytic =
     Perturb.Idle_model.of_spec ~work:(Wrun.Costs.compute costs) spec ~hop_cost
       ~wave_period
   in
@@ -134,7 +137,7 @@ let run ?(real = false) ?(model_bus = true) ?(engine = Engine.Event)
       | None -> dash
       | Some (r, w) -> Printf.sprintf "r%d w%d" r w
     in
-    let m f = match model with None -> dash | Some im -> f im in
+    let m f = match analytic with None -> dash | Some im -> f im in
     let fitted f d =
       match main_fit d with None -> dash | Some fit -> Table.fcell (f fit)
     in
@@ -143,24 +146,24 @@ let run ?(real = false) ?(model_bus = true) ?(engine = Engine.Event)
     in
     let opt f = function None -> dash | Some d -> f d in
     let row name analytic f =
-      [ name; analytic; f sim_detect; f df_detect; opt f real_detect ]
+      [ name; analytic; f sim_detect; f model_detect; opt f real_detect ]
     in
     Table.v ~id:"IDLEWAVE-RECONCILE"
       ~title:
-        "Idle-wave propagation: analytic model vs detected (sim / dataflow \
-         / real)"
+        "Idle-wave propagation: analytic model vs detected (sim / model / \
+         real)"
       ~notes:
         ([ Fmt.str "spec: %a" Perturb.Spec.pp spec;
            Fmt.str "analytic link: hop cost %.4f us, wave period %.4f us"
              hop_cost wave_period;
-           Fmt.str "sim and timed-dataflow timelines identical: %s"
+           Fmt.str "sim and model timelines identical: %s"
              (if identity then "yes" else "NO") ]
         @
-        if model = None then
+        if analytic = None then
           [ "spec has no pulse clause: nothing for the analytic model to \
              predict" ]
         else [])
-      ~headers:[ "quantity"; "analytic"; "simulated"; "dataflow"; "real" ]
+      ~headers:[ "quantity"; "analytic"; "simulated"; "model"; "real" ]
       [
         row "origin (rank, wave)"
           (m (fun im -> origin_cell (Some (Perturb.Idle_model.origin im))))
@@ -190,9 +193,9 @@ let run ?(real = false) ?(model_bus = true) ?(engine = Engine.Event)
   in
   {
     spec;
-    model;
+    analytic;
     sim = sim_detect;
-    dataflow = df_detect;
+    model = model_detect;
     real = real_detect;
     timeline_base;
     timeline;
@@ -206,7 +209,7 @@ let run ?(real = false) ?(model_bus = true) ?(engine = Engine.Event)
 (* Relative disagreement between the analytic hop cost and the fitted
    one on the simulator, when both exist. *)
 let speed_error t =
-  match (t.model, main_fit t.sim) with
+  match (t.analytic, main_fit t.sim) with
   | Some im, Some f ->
       let a = Perturb.Idle_model.hop_cost im in
       if a > 0.0 then Some (Float.abs (f.Obs.Idle_wave.hop_latency -. a) /. a)
@@ -234,7 +237,7 @@ let pp ppf t =
     Format.fprintf ppf "%s: %a@.@." title Obs.Idle_wave.pp d
   in
   section "simulated" t.sim;
-  section "dataflow" t.dataflow;
+  section "model" t.model;
   (match t.real with Some d -> section "real" d | None -> ());
   (* The wait heatmap of the perturbed run with the detected wave drawn
      on top: O marks the origin cell, > each front's leading edge. *)
@@ -273,7 +276,7 @@ let to_json t =
     (Printf.sprintf "\"spec\":\"%s\"," (Fmt.str "%a" Perturb.Spec.pp t.spec));
   Buffer.add_string b
     (Printf.sprintf "\"identity\":%b," t.identity);
-  (match t.model with
+  (match t.analytic with
   | None -> Buffer.add_string b "\"analytic\":null,"
   | Some im ->
       let r, w = Perturb.Idle_model.origin im in
@@ -291,8 +294,8 @@ let to_json t =
            (Perturb.Idle_model.decay im)));
   Buffer.add_string b "\"simulated\":";
   Buffer.add_string b (detect_json t.sim);
-  Buffer.add_string b ",\"dataflow\":";
-  Buffer.add_string b (detect_json t.dataflow);
+  Buffer.add_string b ",\"model\":";
+  Buffer.add_string b (detect_json t.model);
   (match t.real with
   | Some d ->
       Buffer.add_string b ",\"real\":";

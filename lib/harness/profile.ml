@@ -228,7 +228,7 @@ let run ?(real = false) ?(capacity = Obs.Tracer.default_capacity)
          segs)
   in
   (* Wave-resolved view of the same run, and the model's error attributed
-     against the analytic term schedule (the timed dataflow backend). *)
+     against the analytic term schedule (the batched engine). *)
   let waves =
     Sweeps.Schedule.nsweeps app.schedule
     * Tile.ntiles_int ~nz:app.grid.nz ~htile:app.htile
@@ -239,7 +239,7 @@ let run ?(real = false) ?(capacity = Obs.Tracer.default_capacity)
   let divergence =
     let costs = Wrun.Costs.loggp ~cmp:cfg.cmp cfg.platform cfg.pgrid app in
     let model_tr = Obs.Tracer.create ~capacity () in
-    ignore (Wrun.Dataflow.run ~costs ~obs:model_tr cfg.pgrid app);
+    ignore (Wrun.Batched.run ~obs:model_tr ~costs cfg.pgrid app);
     let model =
       Obs.Timeline.of_spans ~dropped:(Obs.Tracer.dropped model_tr) ~waves
         (Obs.Tracer.spans model_tr)

@@ -1,6 +1,6 @@
 (* The workflow behind `wavefront timeline`: run one iteration of the same
    configuration on the event-level simulator (spans stamped in simulated
-   time) and on the timed dataflow backend (the analytic term schedule),
+   time) and on the batched engine (the analytic term schedule),
    reconstruct both as per-rank x per-wave timelines, optionally execute
    the real shared-memory kernel and reconstruct its timeline too, and
    attribute the closed form's error wave by wave with Divergence. *)
@@ -10,7 +10,7 @@ open Wgrid
 
 type t = {
   observed : Obs.Timeline.t;  (** event-level simulator *)
-  model : Obs.Timeline.t;  (** timed dataflow: the analytic term schedule *)
+  model : Obs.Timeline.t;  (** batched engine: the analytic term schedule *)
   real : Obs.Timeline.t option;  (** shared-memory Domains run *)
   divergence : Divergence.t;
   sim : Xtsim.Wavefront_sim.outcome;
@@ -36,12 +36,12 @@ let run ?(real = false) ?(model_bus = true) ?(engine = Engine.Event)
     Obs.Runtime.phase phases "simulate" (fun () ->
         Engine.observed_run ~model_bus ~obs engine cfg app)
   in
-  (* Model side: the same program on the timed dataflow backend, clocks
-     advanced by the analytic per-operation costs. *)
+  (* Model side: the same program on the batched engine, clocks advanced
+     by the analytic per-operation costs. *)
   let costs = Wrun.Costs.loggp ~cmp:cfg.cmp cfg.platform cfg.pgrid app in
   let model_tr = Obs.Tracer.create ~capacity () in
   Obs.Runtime.phase phases "model" (fun () ->
-      ignore (Wrun.Dataflow.run ~costs ~obs:model_tr cfg.pgrid app));
+      ignore (Wrun.Batched.run ~obs:model_tr ~costs cfg.pgrid app));
   (* Optional real run, one domain per rank; reconstruction happens in
      the analyze phase with the rest. *)
   let real_raw =

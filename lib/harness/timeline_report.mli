@@ -1,6 +1,6 @@
 (** The workflow behind [wavefront timeline]: reconstruct per-rank x
     per-wave timelines of the same configuration from the event-level
-    simulator, the timed dataflow backend (the analytic term schedule) and
+    simulator, the batched engine (the analytic term schedule) and
     optionally the real shared-memory kernel, and attribute the closed
     form's error wave by wave. *)
 
@@ -8,7 +8,7 @@ open Wavefront_core
 
 type t = {
   observed : Obs.Timeline.t;  (** event-level simulator *)
-  model : Obs.Timeline.t;  (** timed dataflow: the analytic term schedule *)
+  model : Obs.Timeline.t;  (** batched engine: the analytic term schedule *)
   real : Obs.Timeline.t option;  (** shared-memory Domains run *)
   divergence : Divergence.t;
   sim : Xtsim.Wavefront_sim.outcome;
@@ -31,9 +31,9 @@ val run :
     eager-sized configuration) and the observed and model timelines
     coincide to float precision — the cross-substrate identity the tests
     assert. [engine] (default {!Engine.Event}) selects the observed
-    substrate; with {!Engine.Batched} the observed side shares the
-    dataflow's cost arithmetic, so the two timelines coincide regardless
-    of [model_bus]. *)
+    substrate; {!Engine.Batched} is the model's own engine, so the two
+    timelines then differ only by the bus layer [model_bus] adds on
+    multi-core nodes. *)
 
 val pp : ?metric:Obs.Timeline.metric -> Format.formatter -> t -> unit
 

@@ -1,6 +1,6 @@
-(* The wave-batched backend: the same Figure-4 program and LogGP cost
-   arithmetic as the timed dataflow replay, executed without fibers,
-   effects or a heap of events.
+(* The wave-batched backend: the repo's one timed analytic engine. It
+   evaluates the Figure-4 program with the model's per-operation LogGP
+   costs (Costs), without fibers, effects or a heap of events.
 
    The wavefront schedule is regular enough that the precedence graph
    never has to be discovered at run time: within one sweep, a rank
@@ -31,10 +31,11 @@
    time: a halo is an all-sends pass then an all-receives pass; an
    allreduce releases every arrival at the maximum entry clock.
 
-   Time arithmetic, span naming and perturbation draw order replicate
-   [Dataflow]'s timed mode operation for operation, so at small sizes a
-   traced batched run reconstructs into the identical
-   [Obs.Timeline.t]. *)
+   Span naming and perturbation draw order follow the event-level
+   simulator's, so with single-core nodes, the bus off and no epilogue a
+   traced batched run reconstructs into the simulator's
+   [Obs.Timeline.t]; the epilogue, whose collectives the simulator
+   models message by message, is pinned by a golden in the tests. *)
 
 open Wgrid
 

@@ -1,13 +1,13 @@
-(* LogGP operation costs for the timed dataflow backend.
+(* LogGP operation costs for the batched engine.
 
-   The dataflow scheduler executes the program's precedence graph with no
-   machine at all; giving each rank a virtual clock advanced by these costs
-   turns a run into the analytic (r1a)-(r5) term schedule evaluated at wave
-   resolution: every tile-step is charged exactly the model's W / Wg_pre
-   work and the protocol-mechanics communication terms the closed forms are
-   built from (eager: sender busy o, payload in flight L + size*G behind
-   it, receiver overhead o; on-chip copy: o_copy / size*g_copy / o_copy;
-   and the rendezvous/DMA analogues). With single-core nodes, eager-sized
+   Giving each rank of the program's precedence graph a virtual clock
+   advanced by these costs turns a run into the analytic (r1a)-(r5) term
+   schedule evaluated at wave resolution: every tile-step is charged
+   exactly the model's W / Wg_pre work and the protocol-mechanics
+   communication terms the closed forms are built from (eager: sender
+   busy o, payload in flight L + size*G behind it, receiver overhead o;
+   on-chip copy: o_copy / size*g_copy / o_copy; and the rendezvous/DMA
+   analogues). With single-core nodes, eager-sized
    messages and bus contention off, the event-level simulator follows the
    identical arithmetic, so the two substrates produce the same per-rank x
    per-wave timeline to float precision — the cross-substrate identity the

@@ -1,14 +1,23 @@
 (* Tests for the wave-batched engine and its supporting layers: the
-   cell-for-cell differential identities against the timed dataflow
-   replay and the event-level simulator (perturbations, recovery and
-   multi-iteration schedules included), bitwise determinism across
-   domain counts, the streaming timeline accumulator, the SoA event
-   heap, and the event engine's structured rank ceiling. *)
+   cell-for-cell differential identities against the event-level
+   simulator (perturbations, recovery and multi-iteration schedules
+   included), the epilogue golden, bitwise determinism across domain
+   counts, the streaming timeline accumulator, the SoA event heap, and the
+   event engine's structured rank ceiling. *)
 
 open Wgrid
 
 let xt4 = Loggp.Params.xt4
 let sweep n = Apps.Sweep3d.params (Data_grid.cube n)
+
+(* Sweep3D without its all-reduce epilogue. The event simulator models a
+   collective message by message where the batched engine charges the
+   eq-9 closed form, so the two coincide on the wave columns only; the
+   epilogue is pinned by its own golden below. *)
+let sweep_waves n =
+  { (sweep n) with
+    Wavefront_core.App_params.nonwavefront = Wavefront_core.App_params.No_op
+  }
 
 let costs_for pg app = Wrun.Costs.loggp ~cmp:Cmp.single_core xt4 pg app
 
@@ -17,11 +26,16 @@ let spec s =
   | Ok v -> v
   | Error (`Msg e) -> Alcotest.failf "bad spec %S: %s" s e
 
-(* The dataflow reference timeline for a configuration, via a span
-   tracer — the yardstick every batched timeline is held to. *)
-let dataflow_timeline ?iterations ?perturb ?recover ~waves costs pg app =
+(* The event simulator's reference timeline for a configuration, via a
+   span tracer — the yardstick every batched timeline is held to. With
+   single-core nodes and the bus off both engines charge the same LogGP
+   arithmetic per operation. *)
+let event_timeline ?iterations ?perturb ?recover ~waves pg app =
+  let machine = Xtsim.Machine.v ~model_bus:false ~cmp:Cmp.single_core xt4 pg in
   let tr = Obs.Tracer.create () in
-  let o = Wrun.Dataflow.run ?iterations ?perturb ?recover ~costs ~obs:tr pg app in
+  let o =
+    Xtsim.Wavefront_sim.run ?iterations ?perturb ?recover ~obs:tr machine app
+  in
   (o, Obs.Timeline.of_spans ~waves (Obs.Tracer.spans tr))
 
 (* The batched engine's timeline reconstructed the same way (traced). *)
@@ -30,29 +44,30 @@ let batched_span_timeline ?iterations ?perturb ?recover ~waves costs pg app =
   let o = Wrun.Batched.run ?iterations ?perturb ?recover ~obs:tr ~costs pg app in
   (o, Obs.Timeline.of_spans ~waves (Obs.Tracer.spans tr))
 
-(* --- Differential identity: batched = dataflow, cell for cell --- *)
+(* --- Differential identity: batched = event simulator, cell for cell --- *)
 
-let test_dataflow_identity () =
+let test_clean_identity () =
   let pg = Proc_grid.of_cores 16 in
-  let app = sweep 16 in
+  let app = sweep_waves 16 in
   let costs = costs_for pg app in
   let ob, tl_spans = batched_span_timeline ~waves:0 costs pg app in
-  let odf, tl_df = dataflow_timeline ~waves:ob.waves costs pg app in
-  Alcotest.(check bool) "both completed" true (ob.completed && odf.completed);
-  Alcotest.(check int) "same messages" odf.messages ob.messages;
+  let oev, tl_ev = event_timeline ~waves:ob.waves pg app in
+  Alcotest.(check bool) "both completed" true (ob.completed && oev.completed);
+  Alcotest.(check int) "same messages" oev.sends ob.messages;
   Alcotest.(check int) "no orphans" 0 ob.orphaned;
+  Alcotest.(check (float 1e-6)) "same elapsed" oev.elapsed ob.elapsed;
   Alcotest.(check bool) "traced timelines coincide" true
-    (Obs.Timeline.equal ~tol:1e-6 tl_df tl_spans);
+    (Obs.Timeline.equal ~tol:1e-6 tl_ev tl_spans);
   (* The streaming cell path reconstructs the identical dense grid. *)
   let oc, tl_cells = Wrun.Batched.run_timeline ~costs pg app in
   Alcotest.(check bool) "cell-streamed timeline coincides" true
-    (Obs.Timeline.equal ~tol:1e-6 tl_df tl_cells);
+    (Obs.Timeline.equal ~tol:1e-6 tl_ev tl_cells);
   Alcotest.(check (float 0.0)) "elapsed agrees bitwise with traced run"
     ob.elapsed oc.elapsed
 
 let test_event_identity () =
-  (* Same configuration the event-vs-dataflow identity test pins: with
-     single-core nodes and the bus off, all three substrates coincide. *)
+  (* Same configuration the timeline identity test pins: with single-core
+     nodes and the bus off, the observed and model sides coincide. *)
   let app =
     { (sweep 16) with
       Wavefront_core.App_params.nonwavefront = Wavefront_core.App_params.No_op
@@ -66,7 +81,7 @@ let test_event_identity () =
     Harness.Timeline_report.run ~model_bus:false ~engine:Harness.Engine.Batched
       cfg app
   in
-  Alcotest.(check bool) "batched observed = its dataflow side" true
+  Alcotest.(check bool) "batched observed = its model side" true
     (Obs.Timeline.equal ~tol:1e-6 ba.observed ba.model);
   Alcotest.(check bool) "batched observed = event observed" true
     (Obs.Timeline.equal ~tol:1e-6 ev.observed ba.observed)
@@ -88,7 +103,7 @@ let perturbed_cases =
 
 let test_perturbed_identities () =
   let pg = Proc_grid.of_cores 16 in
-  let app = sweep 16 in
+  let app = sweep_waves 16 in
   let costs = costs_for pg app in
   List.iter
     (fun (name, s, recover, iterations) ->
@@ -97,17 +112,18 @@ let test_perturbed_identities () =
         batched_span_timeline ~iterations ~perturb ?recover ~waves:0 costs pg
           app
       in
-      let odf, tl_df =
-        dataflow_timeline ~iterations ~perturb ?recover ~waves:ob.waves costs
-          pg app
+      let oev, tl_ev =
+        event_timeline ~iterations ~perturb ?recover ~waves:ob.waves pg app
       in
       Alcotest.(check bool)
-        (name ^ ": same completion") odf.completed ob.completed;
-      Alcotest.(check (list int)) (name ^ ": same failed") odf.failed ob.failed;
-      Alcotest.(check int) (name ^ ": same messages") odf.messages ob.messages;
+        (name ^ ": same completion") oev.completed ob.completed;
+      Alcotest.(check (list int)) (name ^ ": same failed") oev.failed ob.failed;
+      Alcotest.(check (list int))
+        (name ^ ": same recovered") oev.recovered ob.recovered;
+      Alcotest.(check int) (name ^ ": same messages") oev.sends ob.messages;
       Alcotest.(check bool)
         (name ^ ": traced timelines coincide") true
-        (Obs.Timeline.equal ~tol:1e-6 tl_df tl_b);
+        (Obs.Timeline.equal ~tol:1e-6 tl_ev tl_b);
       (* The streaming cell contract merges multi-iteration visits, so the
          dense-grid identity is a single-iteration statement. *)
       if iterations = 1 then begin
@@ -117,27 +133,103 @@ let test_perturbed_identities () =
         in
         Alcotest.(check bool)
           (name ^ ": cell-streamed timeline coincides") true
-          (Obs.Timeline.equal ~tol:1e-6 tl_df tl_cells)
+          (Obs.Timeline.equal ~tol:1e-6 tl_ev tl_cells)
       end)
     perturbed_cases
 
-let test_recovery_matches_dataflow () =
+let test_recovery_matches_event () =
   let pg = Proc_grid.of_cores 16 in
-  let app = sweep 16 in
+  let app = sweep_waves 16 in
   let costs = costs_for pg app in
   let perturb = spec "seed=5 fail=5:40" in
   let recover =
     { Perturb.Recover.interval = 16; ckpt_cost = 25.0; restart_cost = 400.0 }
   in
   let ob = Wrun.Batched.run ~perturb ~recover ~costs pg app in
-  let odf = Wrun.Dataflow.run ~perturb ~recover ~costs pg app in
+  let oev, _ = event_timeline ~perturb ~recover ~waves:ob.waves pg app in
   Alcotest.(check bool) "batched completed" true ob.completed;
-  Alcotest.(check (list int)) "same recovered set" odf.recovered ob.recovered;
+  Alcotest.(check (list int)) "same recovered set" oev.recovered ob.recovered;
+  Alcotest.(check int) "same checkpoint count" oev.checkpoints ob.checkpoints;
+  Alcotest.(check (float 1e-6)) "same elapsed" oev.elapsed ob.elapsed;
   (* Every rank snapshots on the policy's schedule. *)
   Alcotest.(check int) "checkpoint count follows the schedule"
     (Perturb.Recover.checkpoints ~interval:recover.interval ~waves:ob.waves
     * ob.ranks)
     ob.checkpoints
+
+(* --- The epilogue golden --- *)
+
+(* Elapsed time and epilogue-column totals (compute, send, recv, wait,
+   busy, total; us) of 16-rank, 16^3 runs on single-core XT4 nodes,
+   recorded from the timed dataflow replay at commit 52cb9c0, the last
+   commit that had it. That replay charged each collective its eq-9
+   closed form as Batched does, where the event simulator models it
+   message by message, so it stays the exact reference for the
+   non-wavefront section. *)
+let epilogue_golden =
+  [
+    ( "sweep3d", "clean", 2864.4584480000094,
+      [ 0.; 0.; 0.; 0.; 4024.1511680000131; 4024.1511680000131 ] );
+    ( "sweep3d", "collnoise", 2911.0735202923956,
+      [ 0.; 0.; 0.; 0.; 4769.9923246781927; 4769.9923246781927 ] );
+    ( "sweep3d", "fail+recover", 3416.2584480000073,
+      [ 0.; 0.; 0.; 0.; 4024.1511680000149; 4024.1511680000149 ] );
+    ( "lu", "clean", 933.14399999999785,
+      [ 327.68000000000029; 0.; 0.; 0.; 2010.0159999999921;
+        2010.0159999999921 ] );
+    ( "lu", "collnoise", 933.14399999999785,
+      [ 327.68000000000029; 0.; 0.; 0.; 2010.0159999999921;
+        2010.0159999999921 ] );
+    ( "lu", "fail+recover", 1381.1840000000034,
+      [ 327.68000000000029; 0.; 0.; 0.; 4125.2160000000222;
+        4125.2160000000222 ] );
+    ( "chimaera", "clean", 4879.2518240000309,
+      [ 0.; 0.; 0.; 0.; 2662.253184000012; 2662.253184000012 ] );
+    ( "chimaera", "collnoise", 4906.1489602992096,
+      [ 0.; 0.; 0.; 0.; 3092.6073647868725; 3092.6073647868725 ] );
+    ( "chimaera", "fail+recover", 5518.2518240000354,
+      [ 0.; 0.; 0.; 0.; 2662.253184000012; 2662.253184000012 ] );
+  ]
+
+let test_epilogue_golden () =
+  let pg = Proc_grid.of_cores 16 in
+  let apps =
+    [
+      ("sweep3d", sweep 16);
+      ("lu", Apps.Lu.params (Data_grid.cube 16));
+      ("chimaera", Apps.Chimaera.params (Data_grid.cube 16));
+    ]
+  in
+  let cases =
+    [
+      ("clean", (None, None));
+      ("collnoise", (Some (spec "seed=7 collnoise=80"), None));
+      ( "fail+recover",
+        ( Some (spec "seed=5 fail=5:20"),
+          Some
+            { Perturb.Recover.interval = 16; ckpt_cost = 25.0;
+              restart_cost = 400.0 } ) );
+    ]
+  in
+  List.iter
+    (fun (app_name, case_name, elapsed, totals) ->
+      let app = List.assoc app_name apps in
+      let perturb, recover = List.assoc case_name cases in
+      let costs = costs_for pg app in
+      let o, tl = Wrun.Batched.run_timeline ?perturb ?recover ~costs pg app in
+      let name = app_name ^ " " ^ case_name in
+      Alcotest.(check bool) (name ^ ": completed") true o.completed;
+      Alcotest.(check (float 1e-6)) (name ^ ": elapsed") elapsed o.elapsed;
+      List.iter2
+        (fun metric expected ->
+          Alcotest.(check (float 1e-6))
+            (Printf.sprintf "%s: epilogue %s" name
+               (Obs.Timeline.metric_name metric))
+            expected
+            (Obs.Timeline.column_total tl metric o.waves))
+        Obs.Timeline.[ Compute; Send; Recv; Wait; Busy; Total ]
+        totals)
+    epilogue_golden
 
 (* --- Bitwise determinism across domain counts --- *)
 
@@ -329,7 +421,7 @@ let test_heap_compat () =
 
 let qcheck_differential =
   QCheck.Test.make ~count:8
-    ~name:"batched = dataflow = domains-sharded on random configurations"
+    ~name:"batched = event = domains-sharded on random configurations"
     QCheck.(
       triple
         (QCheck.make (QCheck.Gen.oneofl [ 4; 9; 16; 64; 256 ]))
@@ -337,7 +429,7 @@ let qcheck_differential =
         (pair (int_range 0 1000) (int_range 0 3)))
     (fun (cores, nz, (seed, kind)) ->
       let pg = Proc_grid.of_cores cores in
-      let app = sweep nz in
+      let app = sweep_waves nz in
       let costs = costs_for pg app in
       let perturb =
         match kind with
@@ -347,13 +439,11 @@ let qcheck_differential =
         | _ -> Some (spec (Printf.sprintf "seed=%d pulse=0:10:300" seed))
       in
       let ob, tl_cells = Wrun.Batched.run_timeline ?perturb ~costs pg app in
-      let _, tl_df =
-        dataflow_timeline ?perturb ~waves:ob.waves costs pg app
-      in
+      let _, tl_ev = event_timeline ?perturb ~waves:ob.waves pg app in
       let od, tl_dom =
         Wrun.Batched.run_timeline ?perturb ~domains:2 ~costs pg app
       in
-      Obs.Timeline.equal ~tol:1e-6 tl_df tl_cells
+      Obs.Timeline.equal ~tol:1e-6 tl_ev tl_cells
       && Obs.Timeline.equal ~tol:0.0 tl_cells tl_dom
       && od.elapsed = ob.elapsed)
 
@@ -361,15 +451,17 @@ let suite =
   [
     ( "batched.identity",
       [
-        Alcotest.test_case "batched = timed dataflow" `Quick
-          test_dataflow_identity;
+        Alcotest.test_case "clean run: batched = event simulator" `Quick
+          test_clean_identity;
         Alcotest.test_case "batched = event simulator" `Quick
           test_event_identity;
         Alcotest.test_case "perturbed and recovering runs" `Quick
           test_perturbed_identities;
-        Alcotest.test_case "recovery outcome matches dataflow" `Quick
-          test_recovery_matches_dataflow;
+        Alcotest.test_case "recovery outcome matches the event simulator"
+          `Quick test_recovery_matches_event;
         QCheck_alcotest.to_alcotest qcheck_differential;
+        Alcotest.test_case "epilogue golden from the timed replay" `Quick
+          test_epilogue_golden;
       ] );
     ( "batched.domains",
       [

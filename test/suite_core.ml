@@ -403,6 +403,109 @@ let prop_components_consistent =
       && c.communication >= 0.0
       && Float.abs (c.total -. (c.computation +. c.communication)) < 1e-6)
 
+(* The (r2a)/(r2b) oracle: the pipeline-fill recurrence evaluated cell by
+   cell, each cell probing [Cmp.link_locality] for its own links — none of
+   the per-column / per-row hoisting [Plugplay.Eval] relies on. Returns
+   (t_diagfill, t_fullfill). *)
+let fill_oracle (cfg : Plugplay.config) ~w ~w_pre ~msg_ew ~msg_ns =
+  let { Proc_grid.cols; rows } = cfg.pgrid in
+  let start = Array.make (cols * rows) 0.0 in
+  let idx i j = ((j - 1) * cols) + (i - 1) in
+  let locality src dir = Cmp.link_locality cfg.cmp ~src dir in
+  for j = 1 to rows do
+    for i = 1 to cols do
+      if i = 1 && j = 1 then start.(idx 1 1) <- w_pre
+      else begin
+        let from_west =
+          if i = 1 then neg_infinity
+          else
+            let arrive =
+              Comm.total cfg.platform (locality (i - 1, j) E) msg_ew
+            in
+            let recv_north =
+              if j = 1 then 0.0
+              else Comm.receive cfg.platform (locality (i, j - 1) S) msg_ns
+            in
+            start.(idx (i - 1) j) +. w +. arrive +. recv_north
+        in
+        let from_north =
+          if j = 1 then neg_infinity
+          else
+            let send_east =
+              if i = cols then 0.0
+              else Comm.send cfg.platform (locality (i, j - 1) E) msg_ew
+            in
+            let arrive =
+              Comm.total cfg.platform (locality (i, j - 1) S) msg_ns
+            in
+            start.(idx i (j - 1)) +. w +. send_east +. arrive
+        in
+        start.(idx i j) <- Float.max from_west from_north
+      end
+    done
+  done;
+  (start.(idx 1 rows), start.(idx cols rows))
+
+let bits_equal a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+
+let prop_fill_matches_oracle =
+  let gen =
+    QCheck.Gen.(
+      let dims =
+        oneof
+          [
+            map (fun n -> (1, n)) (int_range 1 24);
+            map (fun n -> (n, 1)) (int_range 1 24);
+            pair (int_range 1 24) (int_range 1 24);
+          ]
+      in
+      let app =
+        oneofl
+          [
+            Apps.Sweep3d.params (Data_grid.cube 48);
+            Apps.Lu.params (Data_grid.cube 48);
+            Apps.Chimaera.params (Data_grid.cube 48);
+          ]
+      in
+      tup6 (oneofl Loggp.Params.presets) (oneofl [ 1; 2; 4; 8 ]) dims bool bool
+        app)
+  in
+  let print (p, cpn, (cols, rows), sync_terms, contention, app) =
+    Printf.sprintf "%s cpn=%d %dx%d sync=%b contention=%b %s"
+      p.Loggp.Params.name cpn cols rows sync_terms contention
+      app.App_params.name
+  in
+  QCheck.Test.make ~count:200
+    ~name:"iteration and Eval match the per-cell fill oracle bit for bit"
+    (QCheck.make ~print gen)
+    (fun (platform, cpn, (cols, rows), sync_terms, contention, app) ->
+      let cfg =
+        Plugplay.config ~cmp:(Cmp.of_cores_per_node cpn)
+          ~pgrid:(Proc_grid.v ~cols ~rows) ~sync_terms ~contention
+          (Loggp.Params.with_cores_per_node platform cpn)
+          ~cores:(cols * rows)
+      in
+      let r = Plugplay.iteration app cfg in
+      let diag, full =
+        fill_oracle cfg ~w:r.w ~w_pre:r.w_pre ~msg_ew:r.msg_ew
+          ~msg_ns:r.msg_ns
+      in
+      let c = App_params.counts app in
+      let t_iteration =
+        (float_of_int c.ndiag *. diag)
+        +. (float_of_int c.nfull *. full)
+        +. (float_of_int c.nsweeps *. r.t_stack)
+        +. r.t_nonwavefront
+      in
+      let e = Plugplay.Eval.create app cfg in
+      Plugplay.Eval.run e;
+      bits_equal diag r.t_diagfill
+      && bits_equal full r.t_fullfill
+      && bits_equal t_iteration r.t_iteration
+      && bits_equal diag (Plugplay.Eval.t_diagfill e)
+      && bits_equal full (Plugplay.Eval.t_fullfill e)
+      && bits_equal t_iteration (Plugplay.Eval.t_iteration e))
+
 let props =
   List.map QCheck_alcotest.to_alcotest
     [
@@ -410,6 +513,7 @@ let props =
       prop_monotone_in_wg;
       prop_more_gating_is_slower;
       prop_components_consistent;
+      prop_fill_matches_oracle;
     ]
 
 let suite =

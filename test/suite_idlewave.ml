@@ -1,6 +1,6 @@
 (* Tests for the idle-wave analytics: the pinned single-pulse chain
    scenario where the analytic model, the event-level simulator and the
-   timed dataflow backend agree exactly (and the real kernel within a
+   batched engine's term schedule agree exactly (and the real kernel within a
    busy-wait tolerance), QCheck properties for origin recovery and speed
    reconciliation, detector edge cases, and the Chrome-trace category
    tagging of injected spans. *)
@@ -42,9 +42,9 @@ let test_pinned_single_pulse () =
   let r = run_chain (pulse ~rank:3 ~wave:8 500.0) in
   (* The two deterministic substrates coincide cell for cell even under
      the pulse, so one detector result speaks for both. *)
-  Alcotest.(check bool) "sim = timed dataflow under pulse" true r.identity;
-  Alcotest.(check bool) "dataflow detector agrees on origin" true
-    (r.sim.origin = r.dataflow.origin);
+  Alcotest.(check bool) "sim = batched model under pulse" true r.identity;
+  Alcotest.(check bool) "model detector agrees on origin" true
+    (r.sim.origin = r.model.origin);
   (* Origin recovered exactly, amplitude to float precision. *)
   Alcotest.(check (option (pair int int))) "origin (rank, wave)"
     (Some (3, 8)) r.sim.origin;
@@ -69,7 +69,7 @@ let test_pinned_single_pulse () =
   (* The fitted propagation speed is the analytic LogGP hop cost, on both
      deterministic substrates, to float precision. *)
   let im =
-    match r.model with
+    match r.analytic with
     | Some im -> im
     | None -> Alcotest.fail "spec has a pulse: analytic model expected"
   in
@@ -85,8 +85,8 @@ let test_pinned_single_pulse () =
     (fit r.sim).points;
   Alcotest.(check (float 1e-6)) "sim speed = analytic hop cost" hop
     (fit r.sim).hop_latency;
-  Alcotest.(check (float 1e-6)) "dataflow speed = analytic hop cost" hop
-    (fit r.dataflow).hop_latency;
+  Alcotest.(check (float 1e-6)) "model speed = analytic hop cost" hop
+    (fit r.model).hop_latency;
   Alcotest.(check (float 1e-9)) "no decay on a silent system" 0.0
     (fit r.sim).decay;
   (match Harness.Idlewave_report.speed_error r with
@@ -102,7 +102,7 @@ let test_zero_spec_no_fronts () =
   Alcotest.(check (option (pair int int))) "no origin" None r.sim.origin;
   Alcotest.(check int) "no fronts" 0 (List.length r.sim.fronts);
   Alcotest.(check bool) "no analytic model without a pulse" true
-    (r.model = None);
+    (r.analytic = None);
   Alcotest.(check int) "exit clean" 0
     (Harness.Idlewave_report.exit_status ~fail_on_mismatch:true r)
 
@@ -201,7 +201,7 @@ let prop_single_pulse_recovered =
     (QCheck.make ~print gen)
     (fun (ranks, rank, wave, delay) ->
       let r = run_chain ~ranks ~nz:12 (pulse ~rank ~wave delay) in
-      let im = Option.get r.model in
+      let im = Option.get r.analytic in
       let hop = Perturb.Idle_model.hop_cost im in
       r.identity
       && r.sim.origin = Some (rank, wave)
@@ -217,7 +217,7 @@ let prop_zero_spec_silent =
        QCheck.Gen.(pair (int_range 3 8) (int_range 4 10)))
     (fun (ranks, nz) ->
       let r = run_chain ~ranks ~nz Perturb.Spec.zero in
-      r.sim.origin = None && r.sim.fronts = [] && r.dataflow.fronts = [])
+      r.sim.origin = None && r.sim.fronts = [] && r.model.fronts = [])
 
 (* --- Detector edge cases --- *)
 
