@@ -3,93 +3,126 @@
 
 open Cmdliner
 open Wavefront_core
+module Scenario = Apps.Scenario
 
 (* --- Shared argument parsing --- *)
 
-let app_names = [ "lu"; "sweep3d"; "chimaera" ]
+(* An optional FLAG=VALUE argument; [c] is its Cmdliner converter. *)
+let opt_arg c default name docv doc =
+  Arg.(value & opt c default & info [ name ] ~docv ~doc)
 
-let app_arg =
-  let doc = Fmt.str "Application: %s." (String.concat ", " app_names) in
-  Arg.(value & opt (enum (List.map (fun n -> (n, n)) app_names)) "sweep3d"
-       & info [ "a"; "app" ] ~docv:"APP" ~doc)
+(* The scenario flags. Subcommands take the app term and whichever
+   machine flags they use; Apps.Scenario resolves them with the same
+   dispatch, platform table and range checks as the HTTP API. *)
 
-let grid_arg =
-  let doc = "Problem size as NX,NY,NZ (or a single N for a cube)." in
-  let parse s =
-    match String.split_on_char ',' s |> List.map int_of_string_opt with
-    | [ Some n ] -> Ok (Wgrid.Data_grid.cube n)
-    | [ Some nx; Some ny; Some nz ] -> Ok (Wgrid.Data_grid.v ~nx ~ny ~nz)
-    | _ -> Error (`Msg "expected N or NX,NY,NZ")
+type app_flags = {
+  spec : string option;
+  name : string;
+  dims : int * int * int;
+  htile : float option;
+  wg : float option;
+  iterations : int option;
+}
+
+let app_term =
+  let spec =
+    opt_arg Arg.(some file) None "spec" "FILE"
+      "Model the application described by a KEY = VALUE spec file instead of \
+       a built-in benchmark (see Apps.Spec)."
   in
-  let print ppf (g : Wgrid.Data_grid.t) = Wgrid.Data_grid.pp ppf g in
-  Arg.(value
-       & opt (conv (parse, print)) (Wgrid.Data_grid.cube 240)
-       & info [ "g"; "grid" ] ~docv:"GRID" ~doc)
+  let app_name =
+    let doc = Fmt.str "Application: %s." (String.concat ", " Scenario.apps) in
+    Arg.(value
+         & opt (enum (List.map (fun n -> (n, n)) Scenario.apps)) "sweep3d"
+         & info [ "a"; "app" ] ~docv:"APP" ~doc)
+  in
+  let dims =
+    let doc = "Problem size as NX,NY,NZ (or a single N for a cube)." in
+    let parse s =
+      match String.split_on_char ',' s |> List.map int_of_string_opt with
+      | [ Some n ] -> Ok (n, n, n)
+      | [ Some nx; Some ny; Some nz ] -> Ok (nx, ny, nz)
+      | _ -> Error (`Msg "expected N or NX,NY,NZ")
+    in
+    let print ppf (nx, ny, nz) = Fmt.pf ppf "%dx%dx%d" nx ny nz in
+    Arg.(value
+         & opt (conv (parse, print)) (240, 240, 240)
+         & info [ "g"; "grid" ] ~docv:"GRID" ~doc)
+  in
+  let htile =
+    opt_arg Arg.(some float) None "htile" "H" "Override the tile height Htile."
+  in
+  let wg =
+    opt_arg Arg.(some float) None "wg" "US"
+      "Override the per-cell computation time Wg (us)."
+  in
+  let iterations =
+    opt_arg Arg.(some int) None "iterations" "N"
+      "Wavefront iterations per time step."
+  in
+  let make spec name dims htile wg iterations =
+    { spec; name; dims; htile; wg; iterations }
+  in
+  Term.(const make $ spec $ app_name $ dims $ htile $ wg $ iterations)
+
+type machine_flags = { platform : string; cores : int; cpn : int }
+
+let default_machine = { platform = "xt4"; cores = 1024; cpn = 2 }
 
 let cores_arg =
-  Arg.(value & opt int 1024
+  Arg.(value & opt int default_machine.cores
        & info [ "p"; "cores" ] ~docv:"P" ~doc:"Total number of cores.")
 
 let cpn_arg =
-  Arg.(value & opt int 2
+  Arg.(value & opt int default_machine.cpn
        & info [ "cores-per-node" ] ~docv:"C"
            ~doc:"Cores per node (1, 2, 4, 8 or 16).")
 
-let htile_arg =
-  Arg.(value & opt (some float) None
-       & info [ "htile" ] ~docv:"H" ~doc:"Override the tile height Htile.")
-
-let wg_arg =
-  Arg.(value & opt (some float) None
-       & info [ "wg" ] ~docv:"US"
-           ~doc:"Override the per-cell computation time Wg (us).")
-
-let iterations_arg =
-  Arg.(value & opt (some int) None
-       & info [ "iterations" ] ~docv:"N"
-           ~doc:"Wavefront iterations per time step.")
-
-let groups_arg =
-  Arg.(value & opt int 1
-       & info [ "energy-groups" ] ~docv:"N" ~doc:"Energy groups per time step.")
-
-let steps_arg =
-  Arg.(value & opt int 1
-       & info [ "time-steps" ] ~docv:"N" ~doc:"Time steps in the run.")
-
-let platform_arg =
-  let doc = "Platform parameters: xt4 or sp2." in
-  Arg.(value
-       & opt (enum [ ("xt4", Loggp.Params.xt4); ("sp2", Loggp.Params.sp2) ])
-           Loggp.Params.xt4
-       & info [ "platform" ] ~docv:"PLATFORM" ~doc)
-
-let spec_arg =
-  Arg.(value & opt (some file) None
-       & info [ "spec" ] ~docv:"FILE"
-           ~doc:
-             "Model the application described by a KEY = VALUE spec file \
-              instead of a built-in benchmark (see Apps.Spec).")
-
-let make_app ?spec name grid ~htile ~wg ~iterations =
-  let app =
-    match spec with
-    | Some path -> (
-        match Apps.Spec.of_file path with
-        | Ok app -> app
-        | Error (`Msg m) -> Fmt.failwith "%s: %s" path m)
-    | None -> (
-        match name with
-        | "lu" -> Apps.Lu.params ?wg ?iterations grid
-        | "sweep3d" -> Apps.Sweep3d.params ?wg ?iterations grid
-        | "chimaera" -> Apps.Chimaera.params ?wg ?iterations grid
-        | _ -> assert false)
+let machine_term =
+  let platform =
+    let keys = List.map fst Scenario.platforms in
+    let doc = Fmt.str "Platform parameters: %s." (String.concat ", " keys) in
+    Arg.(value
+         & opt (enum (List.map (fun k -> (k, k)) keys)) default_machine.platform
+         & info [ "platform" ] ~docv:"PLATFORM" ~doc)
   in
-  match htile with Some h -> App_params.with_htile app h | None -> app
+  Term.(const (fun platform cores cpn -> { platform; cores; cpn })
+        $ platform $ cores_arg $ cpn_arg)
 
-let make_cfg platform ~cores ~cpn =
-  let platform = Loggp.Params.with_cores_per_node platform cpn in
-  Plugplay.config ~cmp:(Wgrid.Cmp.of_cores_per_node cpn) platform ~cores
+let cores_term =
+  Term.(const (fun cores -> { default_machine with cores }) $ cores_arg)
+
+let cpn_term = Term.(const (fun cpn -> { default_machine with cpn }) $ cpn_arg)
+
+(* Resolve the flags, or exit 2 with the scenario's message. The --spec
+   path rides along for the ledger's spec digest. *)
+let scenario ?pgrid a m =
+  let nx, ny, nz = a.dims in
+  match
+    Scenario.v ?spec:a.spec ?htile:a.htile ?wg:a.wg ?iterations:a.iterations
+      ?pgrid ~app:a.name ~nx ~ny ~nz ~platform:m.platform ~cores:m.cores
+      ~cpn:m.cpn ()
+  with
+  | Ok sc -> (sc, a.spec)
+  | Error msg ->
+      Fmt.epr "wavefront: %s@." msg;
+      exit 2
+
+let scenario_term machine =
+  Term.(const (fun a m -> scenario a m) $ app_term $ machine)
+
+let pos_int =
+  let parse s =
+    match int_of_string_opt s with
+    | Some n when n >= 1 -> Ok n
+    | _ -> Error (`Msg (Fmt.str "expected a positive integer, got %S" s))
+  in
+  Arg.conv (parse, Fmt.int)
+
+let capacity_arg =
+  Arg.(value & opt (some pos_int) None
+       & info [ "capacity" ] ~docv:"N"
+           ~doc:"Per-tracer span capacity (drops are reported).")
 
 let engine_arg =
   let doc =
@@ -107,8 +140,43 @@ let no_bus_arg =
            ~doc:
              "Switch off the shared-bus contention layer (event engine: the \
               per-node bus clock; batched engine: the closed-form Table-6 \
-              interference charges). With single-core nodes the bus never \
-              fires, so this flag changes nothing.")
+              interference charges). With the bus off and single-core nodes \
+              the simulated and model timelines coincide cell for cell.")
+
+(* --perturb, parsed here so a bad clause exits 2 with its offset. *)
+let perturb_arg doc =
+  let parse = function
+    | None -> None
+    | Some s -> (
+        match Perturb.Spec.of_string s with
+        | Ok p -> Some p
+        | Error (`Msg m) ->
+            Fmt.epr "wavefront: --perturb: %s@." m;
+            exit 2)
+  in
+  Term.(const parse
+        $ Arg.(value & opt (some string) None
+               & info [ "perturb" ] ~docv:"SPEC" ~doc))
+
+let flag_arg name doc = Arg.(value & flag & info [ name ] ~doc)
+
+let file_arg name doc =
+  Arg.(value & opt (some string) None & info [ name ] ~docv:"FILE" ~doc)
+
+(* When a FILE flag was given, write it through [emit] and say so; a
+   failed write exits 1. *)
+let write_file ?(note = "") what path emit =
+  Option.iter
+    (fun path ->
+      match open_out path with
+      | exception Sys_error m ->
+          Fmt.epr "wavefront: cannot write %s: %s@." what m;
+          exit 1
+      | oc ->
+          emit (output_string oc);
+          close_out oc;
+          Fmt.pr "%s written to %s%s@." what path note)
+    path
 
 (* The event engine's rank ceiling, as a CLI error instead of an escaped
    exception: the registered printer already points at --engine=batched. *)
@@ -117,10 +185,6 @@ let or_rank_ceiling f =
   with Xtsim.Wavefront_sim.Rank_ceiling _ as e ->
     Fmt.epr "wavefront: %s@." (Printexc.to_string e);
     exit 2
-
-let waves_of (app : App_params.t) =
-  Sweeps.Schedule.nsweeps app.schedule
-  * Wgrid.Tile.ntiles_int ~nz:app.grid.nz ~htile:app.htile
 
 (* --- Observability context: --metrics-out / --ledger, every subcommand --- *)
 
@@ -138,13 +202,10 @@ module Obs_ctx = struct
 
   let term =
     let metrics_out =
-      Arg.(value & opt (some string) None
-           & info [ "metrics-out" ] ~docv:"FILE"
-               ~doc:
-                 "Write an OpenMetrics/Prometheus text exposition of the \
-                  run's metrics (runtime gauges, outcome numbers, any \
-                  registry the subcommand kept) to FILE, labelled with the \
-                  subcommand and engine.")
+      opt_arg Arg.(some string) None "metrics-out" "FILE"
+        "Write an OpenMetrics/Prometheus text exposition of the run's metrics \
+         (runtime gauges, outcome numbers, any registry the subcommand kept) \
+         to FILE, labelled with the subcommand and engine."
     in
     let ledger =
       Arg.(value & opt (some string) None
@@ -156,9 +217,7 @@ module Obs_ctx = struct
                     Obs.Ledger.default_path))
     in
     let no_ledger =
-      Arg.(value & flag
-           & info [ "no-ledger" ]
-               ~doc:"Do not append this invocation to the run ledger.")
+      flag_arg "no-ledger" "Do not append this invocation to the run ledger."
     in
     let make metrics_out ledger_path no_ledger =
       {
@@ -174,12 +233,16 @@ module Obs_ctx = struct
   (* Record the invocation: an OpenMetrics exposition when asked for, one
      ledger line unless opted out. [kv] holds the subcommand's key outcome
      numbers — exposed as outcome.* gauges and judged by `runs compare`;
-     [metrics] is an existing registry to expose alongside them; [config]
-     is a canonical argument string (hashed, so `runs list` can group
-     like-for-like runs); [spec] the --spec file to digest. Write
-     failures are warnings: observability must not fail the run it
-     records. *)
-  let finish ?metrics ?(engine = "") ?spec ?config ?(kv = []) ctx subcommand =
+     [metrics] is an existing registry to expose alongside them. The
+     config hash, which `runs compare` uses to tell like-for-like runs
+     from different work, is the [scenario]'s digest — extended by
+     [work], the subcommand's own flags that change the work — or, for
+     subcommands without a scenario, the hash of [config]. [spec] is the
+     --spec file to digest. Write failures are warnings: observability
+     must not fail the run it records. *)
+  let finish ?metrics ?engine ?scenario ?spec ?(work = []) ?config ?(kv = [])
+      ctx subcommand =
+    let engine = Option.fold ~none:"" ~some:Harness.Engine.to_string engine in
     let d = Obs.Runtime.delta ctx.start (Obs.Runtime.sample ()) in
     (match ctx.metrics_out with
     | None -> ()
@@ -204,10 +267,16 @@ module Obs_ctx = struct
             close_out oc;
             Fmt.pr "metrics written to %s@." path));
     if not ctx.no_ledger then begin
+      let md5 s = Digest.to_hex (Digest.string s) in
       let config_hash =
-        match config with
-        | None -> ""
-        | Some c -> String.sub (Digest.to_hex (Digest.string c)) 0 12
+        match (scenario, config) with
+        | Some sc, _ ->
+            let d = Scenario.digest sc in
+            String.sub
+              (if work = [] then d else md5 (String.concat "|" (d :: work)))
+              0 12
+        | None, Some c -> String.sub (md5 c) 0 12
+        | None, None -> ""
       in
       let spec_digest =
         match spec with
@@ -224,107 +293,77 @@ module Obs_ctx = struct
       | Ok () -> ()
       | Error m -> Fmt.epr "wavefront: ledger: %s@." m
     end
-
-  let engine_name : Harness.Engine.t -> string = function
-    | Event -> "event"
-    | Batched -> "batched"
 end
 
 let bool01 b = if b then 1.0 else 0.0
+let bus_work no_bus = Fmt.str "bus=%b" (not no_bus)
 
 (* --- predict --- *)
 
-let predict spec app_name grid cores cpn htile wg iterations groups steps
-    platform ctx =
-  let app = make_app ?spec app_name grid ~htile ~wg ~iterations in
-  let cfg = make_cfg platform ~cores ~cpn in
+let predict (sc, spec) groups steps ctx =
+  let app = sc.Scenario.app and cfg = Scenario.config sc in
   let r = Plugplay.iteration app cfg in
   let run = Predictor.run ~energy_groups:groups ~time_steps:steps () in
   let total = Predictor.total_time ~run app cfg in
   Fmt.pr "@[<v>%a@,@,platform: %s, %d cores (%d/node)@,%a@,@,\
           per time step: %a (%d iterations x %d groups)@,\
           total (%d steps): %a (%.2f days)@]@."
-    App_params.pp app platform.Loggp.Params.name cores cpn Plugplay.pp_result
-    r Units.pp_time
+    App_params.pp app sc.platform.name sc.cores sc.cpn Plugplay.pp_result r
+    Units.pp_time
     (float_of_int groups *. Predictor.time_step_time app cfg)
     app.iterations groups steps Units.pp_time total (Units.to_days total);
-  Obs_ctx.finish ?spec
-    ~config:
-      (Fmt.str "%s|%a|p%d|c%d|%s" app.App_params.name Wgrid.Data_grid.pp
-         app.grid cores cpn platform.Loggp.Params.name)
+  Obs_ctx.finish ~scenario:sc ?spec
+    ~work:[ Fmt.str "groups=%d" groups; Fmt.str "steps=%d" steps ]
     ~kv:[ ("t_iteration", r.t_iteration); ("total_us", total) ]
     ctx "predict"
 
 let predict_cmd =
   let doc = "Predict wavefront execution time with the plug-and-play model" in
+  let groups =
+    opt_arg Arg.int 1 "energy-groups" "N" "Energy groups per time step."
+  in
+  let steps = opt_arg Arg.int 1 "time-steps" "N" "Time steps in the run." in
   Cmd.v (Cmd.info "predict" ~doc)
-    Term.(const predict $ spec_arg $ app_arg $ grid_arg $ cores_arg $ cpn_arg
-          $ htile_arg $ wg_arg $ iterations_arg $ groups_arg $ steps_arg
-          $ platform_arg $ Obs_ctx.term)
+    Term.(const predict $ scenario_term machine_term $ groups $ steps
+          $ Obs_ctx.term)
 
 (* --- explain --- *)
 
-let explain spec app_name grid cores cpn htile wg iterations platform ctx =
-  let app = make_app ?spec app_name grid ~htile ~wg ~iterations in
-  let cfg = make_cfg platform ~cores ~cpn in
+let explain (sc, spec) ctx =
+  let app = sc.Scenario.app and cfg = Scenario.config sc in
   Fmt.pr "%a@." (fun ppf () -> Explain.worksheet ppf app cfg) ();
   Fmt.pr "@.%a@." Sensitivity.pp (Sensitivity.analyze app cfg);
-  Obs_ctx.finish ?spec
-    ~config:
-      (Fmt.str "%s|%a|p%d|c%d|%s" app.App_params.name Wgrid.Data_grid.pp
-         app.grid cores cpn platform.Loggp.Params.name)
+  Obs_ctx.finish ~scenario:sc ?spec
     ~kv:[ ("t_iteration", Plugplay.time_per_iteration app cfg) ]
     ctx "explain"
 
 let explain_cmd =
   let doc = "Show the full model worksheet and input sensitivities" in
   Cmd.v (Cmd.info "explain" ~doc)
-    Term.(const explain $ spec_arg $ app_arg $ grid_arg $ cores_arg $ cpn_arg
-          $ htile_arg $ wg_arg $ iterations_arg $ platform_arg $ Obs_ctx.term)
+    Term.(const explain $ scenario_term machine_term $ Obs_ctx.term)
 
 (* --- simulate --- *)
 
-let simulate spec app_name grid cores cpn htile wg iterations engine no_bus
-    domains max_ranks tl_json tl_csv ctx =
-  if domains < 1 then begin
-    Fmt.epr "wavefront: --domains must be at least 1@.";
-    exit 2
-  end;
-  let app = make_app ?spec app_name grid ~htile ~wg ~iterations in
-  let pg = Wgrid.Proc_grid.of_cores cores in
-  let cmp = Wgrid.Cmp.of_cores_per_node cpn in
-  let cfg = make_cfg Loggp.Params.xt4 ~cores ~cpn in
+let simulate (sc, spec) engine no_bus domains max_ranks tl_json tl_csv ctx =
+  let app = sc.Scenario.app and cfg = Scenario.config sc in
+  let pg = cfg.pgrid and cmp = cfg.cmp in
   let model = Plugplay.time_per_iteration app cfg in
   let model_line per_iteration =
     Fmt.pr "model prediction: %a/iteration (error %+.2f%%)@." Units.pp_time
       model
       (100.0 *. (model -. per_iteration) /. per_iteration)
   in
-  let write path emit what =
-    match open_out path with
-    | exception Sys_error m ->
-        Fmt.epr "wavefront: cannot write %s: %s@." what m;
-        exit 1
-    | oc ->
-        emit (output_string oc);
-        close_out oc;
-        Fmt.pr "%s written to %s@." what path
-  in
   let finish kv =
-    Obs_ctx.finish ?spec
-      ~engine:(Obs_ctx.engine_name engine)
-      ~config:
-        (Fmt.str "%s|%a|p%d|c%d|bus%b|d%d" app.App_params.name
-           Wgrid.Data_grid.pp app.grid cores cpn (not no_bus) domains)
+    Obs_ctx.finish ~engine ~scenario:sc ?spec
+      ~work:[ bus_work no_bus; Fmt.str "domains=%d" domains ]
       ~kv ctx "simulate"
   in
   match (engine : Harness.Engine.t) with
   | Event ->
       let machine =
-        Xtsim.Machine.v ~model_bus:(not no_bus) ~cmp Loggp.Params.xt4 pg
+        Xtsim.Machine.v ~model_bus:(not no_bus) ~cmp sc.platform pg
       in
-      Fmt.pr "simulating %s on %a...@." app.App_params.name Xtsim.Machine.pp
-        machine;
+      Fmt.pr "simulating %s on %a...@." app.name Xtsim.Machine.pp machine;
       let o =
         or_rank_ceiling (fun () ->
             Xtsim.Wavefront_sim.run ?max_ranks machine app)
@@ -336,15 +375,16 @@ let simulate spec app_name grid cores cpn htile wg iterations engine no_bus
           ("events", float_of_int o.events) ]
   | Batched ->
       let costs =
-        Wrun.Costs.loggp ~model_bus:(not no_bus) ~cmp Loggp.Params.xt4 pg app
+        Wrun.Costs.loggp ~model_bus:(not no_bus) ~cmp sc.platform pg app
       in
-      Fmt.pr "simulating %s on %a (wave-batched, %d domain(s))...@."
-        app.App_params.name Wgrid.Proc_grid.pp pg domains;
+      Fmt.pr "simulating %s on %a (wave-batched, %d domain(s))...@." app.name
+        Wgrid.Proc_grid.pp pg domains;
       (* Stream per-cell analytics into the bounded accumulator; the
          dense grid is out of reach at the rank counts this engine is
          for. *)
       let stream =
-        Obs.Timeline_stream.create ~ranks:cores ~waves:(waves_of app) ()
+        Obs.Timeline_stream.create ~ranks:sc.cores
+          ~waves:(App_params.waves app) ()
       in
       let o =
         Wrun.Batched.run ~cells:(Obs.Timeline_stream.sink stream) ~domains
@@ -367,18 +407,10 @@ let simulate spec app_name grid cores cpn htile wg iterations engine no_bus
         (Obs.Timeline_stream.wave_buckets stream)
         Units.pp_time (total Obs.Timeline.Busy) Units.pp_time
         (total Obs.Timeline.Wait) Units.pp_time (total Obs.Timeline.Idle);
-      Option.iter
-        (fun p ->
-          write p
-            (fun w -> Obs.Timeline_stream.emit_json ~label:"simulate" stream w)
-            "timeline-stream JSON")
-        tl_json;
-      Option.iter
-        (fun p ->
-          write p
-            (fun w -> Obs.Timeline_stream.emit_csv stream w)
-            "timeline-stream CSV")
-        tl_csv;
+      write_file "timeline-stream JSON" tl_json
+        (Obs.Timeline_stream.emit_json ~label:"simulate" stream);
+      write_file "timeline-stream CSV" tl_csv
+        (Obs.Timeline_stream.emit_csv stream);
       finish
         [ ("per_iteration", o.per_iteration); ("elapsed", o.elapsed);
           ("messages", float_of_int o.messages);
@@ -390,12 +422,9 @@ let simulate_cmd =
      wave-batched engine)"
   in
   let domains =
-    Arg.(value & opt int 1
-         & info [ "domains" ] ~docv:"N"
-             ~doc:
-               "Shard the batched engine's ranks across N OCaml domains \
-                (results are bitwise-identical for every N; event engine: \
-                ignored).")
+    opt_arg pos_int 1 "domains" "N"
+      "Shard the batched engine's ranks across N OCaml domains (results are \
+       bitwise-identical for every N; event engine: ignored)."
   in
   let max_ranks =
     Arg.(value & opt (some int) None
@@ -407,40 +436,32 @@ let simulate_cmd =
                   Xtsim.Wavefront_sim.default_max_ranks))
   in
   let tl_json =
-    Arg.(value & opt (some string) None
-         & info [ "timeline-json" ] ~docv:"FILE"
-             ~doc:
-               "Write the batched engine's streamed timeline analytics as \
-                chunked JSON (schema wavefront-timeline-stream/v1).")
+    file_arg "timeline-json"
+      "Write the batched engine's streamed timeline analytics as chunked \
+       JSON (schema wavefront-timeline-stream/v1)."
   in
   let tl_csv =
-    Arg.(value & opt (some string) None
-         & info [ "timeline-csv" ] ~docv:"FILE"
-             ~doc:
-               "Write the batched engine's streamed timeline analytics as \
-                chunked CSV.")
+    file_arg "timeline-csv"
+      "Write the batched engine's streamed timeline analytics as chunked \
+       CSV."
   in
   Cmd.v (Cmd.info "simulate" ~doc)
-    Term.(const simulate $ spec_arg $ app_arg $ grid_arg $ cores_arg $ cpn_arg
-          $ htile_arg $ wg_arg $ iterations_arg $ engine_arg $ no_bus_arg
-          $ domains $ max_ranks $ tl_json $ tl_csv $ Obs_ctx.term)
+    Term.(const simulate $ scenario_term machine_term $ engine_arg
+          $ no_bus_arg $ domains $ max_ranks $ tl_json $ tl_csv $ Obs_ctx.term)
 
 (* --- validate --- *)
 
-let validate spec app_name grid cores htile wg iterations ctx =
-  let app = make_app ?spec app_name grid ~htile ~wg ~iterations in
-  let pg = Wgrid.Proc_grid.of_cores cores in
-  Fmt.pr "validating %s on %a (reference dataflow backend)...@."
-    app.App_params.name Wgrid.Proc_grid.pp pg;
+let validate (sc, spec) ctx =
+  let app = sc.Scenario.app in
+  let pg = (Scenario.config sc).pgrid in
+  Fmt.pr "validating %s on %a (reference dataflow backend)...@." app.name
+    Wgrid.Proc_grid.pp pg;
   let t0 = Unix.gettimeofday () in
   let o = Wrun.Dataflow.run pg app in
   let elapsed_ms = (Unix.gettimeofday () -. t0) *. 1e3 in
   Fmt.pr "%a (%.0f ms)@." Wrun.Dataflow.pp_outcome o elapsed_ms;
   List.iter (fun m -> Fmt.epr "  mismatch: %s@." m) o.mismatches;
-  Obs_ctx.finish ?spec
-    ~config:
-      (Fmt.str "%s|%a|p%d" app.App_params.name Wgrid.Data_grid.pp app.grid
-         cores)
+  Obs_ctx.finish ~scenario:sc ?spec
     ~kv:
       [ ("completed", bool01 o.completed); ("wall_ms", elapsed_ms);
         ("mismatches", float_of_int (List.length o.mismatches)) ]
@@ -454,8 +475,7 @@ let validate_cmd =
      simulation clock; scales to 100K+ ranks)"
   in
   Cmd.v (Cmd.info "validate" ~doc)
-    Term.(const validate $ spec_arg $ app_arg $ grid_arg $ cores_arg
-          $ htile_arg $ wg_arg $ iterations_arg $ Obs_ctx.term)
+    Term.(const validate $ scenario_term cores_term $ Obs_ctx.term)
 
 (* --- figure --- *)
 
@@ -519,15 +539,15 @@ let figure_cmd =
 
 (* --- scale --- *)
 
-let scaling app_name grid cpn htile wg iterations ctx =
-  let app = make_app app_name grid ~htile ~wg ~iterations in
+let scaling (sc, spec) ctx =
+  let app = sc.Scenario.app in
   let rows =
-    Metrics.strong_scaling ~cmp:(Wgrid.Cmp.of_cores_per_node cpn)
+    Metrics.strong_scaling ~cmp:(Wgrid.Cmp.of_cores_per_node sc.cpn)
       ~platform:Loggp.Params.xt4
       ~core_counts:[ 64; 256; 1024; 4096; 16384; 65536 ]
       app
   in
-  Fmt.pr "%a on the XT4 (%d cores/node):@." App_params.pp app cpn;
+  Fmt.pr "%a on the XT4 (%d cores/node):@." App_params.pp app sc.cpn;
   Fmt.pr "  %8s %14s %10s %10s@." "cores" "t/iter" "speedup" "efficiency";
   List.iter
     (fun (r : Metrics.scaling_row) ->
@@ -535,29 +555,23 @@ let scaling app_name grid cpn htile wg iterations ctx =
         (Fmt.str "%a" Units.pp_time r.t_iteration)
         r.speedup (100.0 *. r.efficiency))
     rows;
-  Obs_ctx.finish
-    ~config:
-      (Fmt.str "%s|%a|c%d" app.App_params.name Wgrid.Data_grid.pp app.grid
-         cpn)
+  Obs_ctx.finish ~scenario:sc ?spec
     ~kv:[ ("rows", float_of_int (List.length rows)) ]
     ctx "scale"
 
 let scale_cmd =
   let doc = "Strong-scaling table: time, speedup, efficiency" in
   Cmd.v (Cmd.info "scale" ~doc)
-    Term.(const scaling $ app_arg $ grid_arg $ cpn_arg $ htile_arg $ wg_arg
-          $ iterations_arg $ Obs_ctx.term)
+    Term.(const scaling $ scenario_term cpn_term $ Obs_ctx.term)
 
 (* --- report --- *)
 
-let report app_name grid cores cpn htile wg iterations trace_csv ctx =
-  let app = make_app app_name grid ~htile ~wg ~iterations in
-  let pg = Wgrid.Proc_grid.of_cores cores in
-  let cmp = Wgrid.Cmp.of_cores_per_node cpn in
-  let machine = Xtsim.Machine.v ~cmp Loggp.Params.xt4 pg in
+let report (sc, spec) trace_csv ctx =
+  let app = sc.Scenario.app and cfg = Scenario.config sc in
+  let machine = Xtsim.Machine.v ~cmp:cfg.cmp sc.platform cfg.pgrid in
   let est = Xtsim.Wavefront_sim.estimated_events machine app ~iterations:1 in
-  Fmt.pr "simulating %s on %a (~%d events)...@." app.App_params.name
-    Xtsim.Machine.pp machine est;
+  Fmt.pr "simulating %s on %a (~%d events)...@." app.name Xtsim.Machine.pp
+    machine est;
   let trace = Xtsim.Trace.create () in
   let o = Xtsim.Wavefront_sim.run ~trace machine app in
   Fmt.pr "%a@.@." Xtsim.Wavefront_sim.pp_outcome o;
@@ -566,67 +580,37 @@ let report app_name grid cores cpn htile wg iterations trace_csv ctx =
   List.iter
     (fun (proto, n) -> Fmt.pr "  %-10s %d@." proto n)
     (Xtsim.Trace.by_protocol trace);
-  (match trace_csv with
-  | None -> ()
-  | Some path ->
-      let oc = open_out path in
-      output_string oc (Xtsim.Trace.to_csv trace);
-      close_out oc;
-      Fmt.pr "trace written to %s (%d of %d messages)@." path
-        (Xtsim.Trace.recorded trace) (Xtsim.Trace.total trace));
-  Obs_ctx.finish ~engine:"event"
-    ~config:
-      (Fmt.str "%s|%a|p%d|c%d" app.App_params.name Wgrid.Data_grid.pp
-         app.grid cores cpn)
+  write_file "trace" trace_csv
+    ~note:
+      (Fmt.str " (%d of %d messages)" (Xtsim.Trace.recorded trace)
+         (Xtsim.Trace.total trace))
+    (fun w -> w (Xtsim.Trace.to_csv trace));
+  Obs_ctx.finish ~engine:Event ~scenario:sc ?spec
     ~kv:[ ("per_iteration", o.per_iteration); ("elapsed", o.elapsed) ]
     ctx "report"
 
 let report_cmd =
   let doc = "Simulate a run and report utilization and message mix" in
-  let trace_csv =
-    Arg.(value & opt (some string) None
-         & info [ "trace-csv" ] ~docv:"FILE"
-             ~doc:"Write the message trace as CSV.")
-  in
+  let trace_csv = file_arg "trace-csv" "Write the message trace as CSV." in
   Cmd.v (Cmd.info "report" ~doc)
-    Term.(const report $ app_arg $ grid_arg $ cores_arg $ cpn_arg $ htile_arg
-          $ wg_arg $ iterations_arg $ trace_csv $ Obs_ctx.term)
+    Term.(const report $ scenario_term machine_term $ trace_csv
+          $ Obs_ctx.term)
 
 (* --- profile --- *)
 
-let profile spec app_name grid cores cpn htile wg iterations platform real
-    capacity trace_out ctx =
-  (match capacity with
-  | Some c when c < 1 ->
-      Fmt.epr "wavefront: --capacity must be at least 1@.";
-      exit 2
-  | _ -> ());
-  let app = make_app ?spec app_name grid ~htile ~wg ~iterations in
-  let cfg = make_cfg platform ~cores ~cpn in
-  Fmt.pr "profiling %s on %d cores (%d/node, %s)...@." app.App_params.name
-    cores cpn platform.Loggp.Params.name;
-  let p = Harness.Profile.run ~real ?capacity cfg app in
+let profile (sc, spec) real capacity trace_out ctx =
+  let app = sc.Scenario.app in
+  Fmt.pr "profiling %s on %d cores (%d/node, %s)...@." app.name sc.cores
+    sc.cpn sc.platform.name;
+  let p = Harness.Profile.run ~real ?capacity (Scenario.config sc) app in
   Fmt.pr "%a@." Harness.Profile.pp p;
-  (match trace_out with
-  | None -> ()
-  | Some path -> (
-      match open_out path with
-      | exception Sys_error m ->
-          Fmt.epr "wavefront: cannot write trace: %s@." m;
-          exit 1
-      | oc ->
-          output_string oc (Harness.Profile.trace_json p);
-          close_out oc;
-          let dropped = p.sim_dropped + p.real_dropped in
-          Fmt.pr
-            "trace written to %s (load in Perfetto / chrome://tracing)%s@."
-            path
-            (if dropped > 0 then Fmt.str "; %d spans dropped" dropped else "")));
-  Obs_ctx.finish ~metrics:p.metrics ~engine:"event" ?spec
-    ~config:
-      (Fmt.str "%s|%a|p%d|c%d|%s|real%b" app.App_params.name
-         Wgrid.Data_grid.pp app.grid cores cpn platform.Loggp.Params.name
-         real)
+  let dropped = p.sim_dropped + p.real_dropped in
+  write_file "trace" trace_out
+    ~note:
+      (" (load in Perfetto / chrome://tracing)"
+      ^ if dropped > 0 then Fmt.str "; %d spans dropped" dropped else "")
+    (fun w -> w (Harness.Profile.trace_json p));
+  Obs_ctx.finish ~metrics:p.metrics ~engine:Event ~scenario:sc ?spec
     ~kv:
       [ ("sim_per_iteration", p.sim.per_iteration);
         ("sim_elapsed", p.sim.elapsed) ]
@@ -638,77 +622,38 @@ let profile_cmd =
      message mix, critical path, Chrome trace"
   in
   let real =
-    Arg.(value & flag
-         & info [ "real" ]
-             ~doc:
-               "Also execute the transport kernel on one OCaml domain per \
-                rank (use small core counts).")
-  in
-  let capacity =
-    Arg.(value & opt (some int) None
-         & info [ "capacity" ] ~docv:"N"
-             ~doc:"Per-tracer span capacity (drops are reported).")
+    flag_arg "real"
+      "Also execute the transport kernel on one OCaml domain per rank (use \
+       small core counts)."
   in
   let trace_out =
-    Arg.(value & opt (some string) None
-         & info [ "trace-out" ] ~docv:"FILE"
-             ~doc:"Write a Chrome trace_event JSON of the run.")
+    file_arg "trace-out" "Write a Chrome trace_event JSON of the run."
   in
   Cmd.v (Cmd.info "profile" ~doc)
-    Term.(const profile $ spec_arg $ app_arg $ grid_arg $ cores_arg $ cpn_arg
-          $ htile_arg $ wg_arg $ iterations_arg $ platform_arg $ real
-          $ capacity $ trace_out $ Obs_ctx.term)
+    Term.(const profile $ scenario_term machine_term $ real $ capacity_arg
+          $ trace_out $ Obs_ctx.term)
 
 (* --- perturb --- *)
 
-let perturb spec app_name grid cores cpn htile wg iterations platform engine
-    no_bus pspec real capacity ctx =
-  (match capacity with
-  | Some c when c < 1 ->
-      Fmt.epr "wavefront: --capacity must be at least 1@.";
-      exit 2
-  | _ -> ());
-  let app = make_app ?spec app_name grid ~htile ~wg ~iterations in
-  (* Precedence: --perturb on the command line, then the spec file's
-     perturb stanza, then the zero spec (a do-nothing control run). *)
-  let pspec =
-    match pspec with
-    | Some s -> (
-        match Perturb.Spec.of_string s with
-        | Ok p -> p
-        | Error (`Msg m) ->
-            Fmt.epr "wavefront: --perturb: %s@." m;
-            exit 2)
-    | None -> (
-        match spec with
-        | None -> Perturb.Spec.zero
-        | Some path -> (
-            match Apps.Spec.full_of_file path with
-            | Ok { perturb = Some p; _ } -> p
-            | Ok { perturb = None; _ } -> Perturb.Spec.zero
-            | Error (`Msg m) -> Fmt.failwith "%s: %s" path m))
-  in
-  let cfg = make_cfg platform ~cores ~cpn in
-  Fmt.pr "perturbing %s on %d cores (%d/node, %s) with [%a]...@."
-    app.App_params.name cores cpn platform.Loggp.Params.name Perturb.Spec.pp
-    pspec;
+let perturb (sc, spec) engine no_bus override real capacity ctx =
+  let app = sc.Scenario.app in
+  let pspec = Scenario.perturb ?override sc in
+  Fmt.pr "perturbing %s on %d cores (%d/node, %s) with [%a]...@." app.name
+    sc.cores sc.cpn sc.platform.name Perturb.Spec.pp pspec;
   if Perturb.Spec.is_zero pspec then
     Fmt.pr "(zero spec: control run, expect no deltas)@.";
   let r =
     or_rank_ceiling (fun () ->
         Harness.Perturb_report.run ~real ~model_bus:(not no_bus) ~engine
-          ?capacity cfg app pspec)
+          ?capacity (Scenario.config sc) app pspec)
   in
   Fmt.pr "%a@." Harness.Perturb_report.pp r;
   (* 0 clean, 3 degraded, 4 unrecovered failure — see
      Perturb_report.exit_status. *)
   let status = Harness.Perturb_report.exit_status r in
-  Obs_ctx.finish
-    ~engine:(Obs_ctx.engine_name engine)
-    ?spec
-    ~config:
-      (Fmt.str "%s|%a|p%d|c%d|%s|%a" app.App_params.name Wgrid.Data_grid.pp
-         app.grid cores cpn platform.Loggp.Params.name Perturb.Spec.pp pspec)
+  Obs_ctx.finish ~engine
+    ~scenario:{ sc with perturb = Some pspec }
+    ?spec ~work:[ bus_work no_bus ]
     ~kv:
       [ ("per_iteration", r.sim.per_iteration);
         ("base_per_iteration", r.sim_base.per_iteration);
@@ -724,41 +669,23 @@ let perturb_cmd =
      injected delay was absorbed"
   in
   let pspec =
-    Arg.(value & opt (some string) None
-         & info [ "perturb" ] ~docv:"SPEC"
-             ~doc:
-               "Perturbation clauses, e.g. 'seed=42 noise=uniform:0.2 \
-                straggler=3:50 fail=1:10'; overrides the spec file's \
-                perturb stanza.")
+    perturb_arg
+      "Perturbation clauses, e.g. 'seed=42 noise=uniform:0.2 straggler=3:50 \
+       fail=1:10'; overrides the spec file's perturb stanza."
   in
   let real =
-    Arg.(value & flag
-         & info [ "real" ]
-             ~doc:
-               "Also execute the transport kernel, unperturbed then \
-                perturbed (resilient), on one OCaml domain per rank (use \
-                small core counts).")
-  in
-  let capacity =
-    Arg.(value & opt (some int) None
-         & info [ "capacity" ] ~docv:"N"
-             ~doc:"Per-tracer span capacity (drops are reported).")
+    flag_arg "real"
+      "Also execute the transport kernel, unperturbed then perturbed \
+       (resilient), on one OCaml domain per rank (use small core counts)."
   in
   Cmd.v (Cmd.info "perturb" ~doc)
-    Term.(const perturb $ spec_arg $ app_arg $ grid_arg $ cores_arg $ cpn_arg
-          $ htile_arg $ wg_arg $ iterations_arg $ platform_arg $ engine_arg
-          $ no_bus_arg $ pspec $ real $ capacity $ Obs_ctx.term)
+    Term.(const perturb $ scenario_term machine_term $ engine_arg
+          $ no_bus_arg $ pspec $ real $ capacity_arg $ Obs_ctx.term)
 
 (* --- recover --- *)
 
-let recover spec app_name grid cores cpn htile wg iterations platform engine
-    no_bus pspec interval ckpt_cost restart_cost tolerance real
-    fail_on_mismatch capacity out ctx =
-  (match capacity with
-  | Some c when c < 1 ->
-      Fmt.epr "wavefront: --capacity must be at least 1@.";
-      exit 2
-  | _ -> ());
+let recover (sc, spec) engine no_bus override interval ckpt_cost restart_cost
+    tolerance real fail_on_mismatch capacity out ctx =
   (match interval with
   | Some k when k < 0 ->
       Fmt.epr "wavefront: --interval must be >= 0@.";
@@ -768,59 +695,30 @@ let recover spec app_name grid cores cpn htile wg iterations platform engine
     Fmt.epr "wavefront: checkpoint and restart costs must be >= 0@.";
     exit 2
   end;
-  let app = make_app ?spec app_name grid ~htile ~wg ~iterations in
-  let pspec =
-    match pspec with
-    | Some s -> (
-        match Perturb.Spec.of_string s with
-        | Ok p -> p
-        | Error (`Msg m) ->
-            Fmt.epr "wavefront: --perturb: %s@." m;
-            exit 2)
-    | None -> (
-        match spec with
-        | None -> Perturb.Spec.zero
-        | Some path -> (
-            match Apps.Spec.full_of_file path with
-            | Ok { perturb = Some p; _ } -> p
-            | Ok { perturb = None; _ } -> Perturb.Spec.zero
-            | Error (`Msg m) -> Fmt.failwith "%s: %s" path m))
-  in
-  let cfg = make_cfg platform ~cores ~cpn in
+  let app = sc.Scenario.app and cfg = Scenario.config sc in
+  let pspec = Scenario.perturb ?override sc in
   (* --interval omitted: take the Daly-style optimum for this run. *)
   let interval =
     match interval with
     | Some k -> k
     | None ->
         let r = Plugplay.iteration app cfg in
-        let waves =
-          Sweeps.Schedule.nsweeps app.schedule
-          * Wgrid.Tile.ntiles_int ~nz:app.grid.nz ~htile:app.htile
-        in
-        Perturb.Recover.optimal_interval ~waves ~wave_cost:(r.w +. r.w_pre)
+        Perturb.Recover.optimal_interval ~waves:(App_params.waves app)
+          ~wave_cost:(r.w +. r.w_pre)
           ~failures:(List.length pspec.failures) ~ckpt_cost
   in
   let policy = Perturb.Recover.v ~ckpt_cost ~restart_cost interval in
   Fmt.pr "recovering %s on %d cores (%d/node, %s) with [%a] under %a...@."
-    app.App_params.name cores cpn platform.Loggp.Params.name Perturb.Spec.pp
-    pspec Perturb.Recover.pp policy;
+    app.name sc.cores sc.cpn sc.platform.name Perturb.Spec.pp pspec
+    Perturb.Recover.pp policy;
   let r =
     or_rank_ceiling (fun () ->
         Harness.Recover_report.run ~real ~model_bus:(not no_bus) ~engine
           ?tolerance ?capacity ~policy cfg app pspec)
   in
   Fmt.pr "%a@." Harness.Recover_report.pp r;
-  (match out with
-  | None -> ()
-  | Some path -> (
-      match open_out path with
-      | exception Sys_error m ->
-          Fmt.epr "wavefront: cannot write report: %s@." m;
-          exit 1
-      | oc ->
-          output_string oc (Fmt.str "%a@." Harness.Recover_report.pp r);
-          close_out oc;
-          Fmt.pr "report written to %s@." path));
+  write_file "report" out (fun w ->
+      w (Fmt.str "%a@." Harness.Recover_report.pp r));
   (* 0 clean, 3 degraded, 4 unrecovered — see Recover_report.exit_status.
      Without --fail-on-mismatch a model-vs-simulated tolerance miss (or a
      real-run grid mismatch) is reported but tolerated. *)
@@ -833,13 +731,13 @@ let recover spec app_name grid cores cpn htile wg iterations platform engine
     then 0
     else s
   in
-  Obs_ctx.finish
-    ~engine:(Obs_ctx.engine_name engine)
+  Obs_ctx.finish ~engine
+    ~scenario:{ sc with perturb = Some pspec }
     ?spec
-    ~config:
-      (Fmt.str "%s|%a|p%d|c%d|%s|%a|%a" app.App_params.name
-         Wgrid.Data_grid.pp app.grid cores cpn platform.Loggp.Params.name
-         Perturb.Spec.pp pspec Perturb.Recover.pp policy)
+    ~work:
+      [ bus_work no_bus;
+        Fmt.str "policy=%d:%h:%h" policy.interval policy.ckpt_cost
+          policy.restart_cost ]
     ~kv:
       [ ("predicted_overhead", r.predicted.total);
         ("simulated_overhead", r.simulated.total);
@@ -856,77 +754,50 @@ let recover_cmd =
      the Daly-style optimal checkpoint interval"
   in
   let pspec =
-    Arg.(value & opt (some string) None
-         & info [ "perturb" ] ~docv:"SPEC"
-             ~doc:
-               "Perturbation clauses, e.g. 'seed=42 fail=1:10'; overrides \
-                the spec file's perturb stanza.")
+    perturb_arg
+      "Perturbation clauses, e.g. 'seed=42 fail=1:10'; overrides the spec \
+       file's perturb stanza."
   in
   let interval =
-    Arg.(value & opt (some int) None
-         & info [ "interval" ] ~docv:"K"
-             ~doc:
-               "Checkpoint every K waves (0 disables recovery; default: \
-                the Daly-style optimum for this run).")
+    opt_arg Arg.(some int) None "interval" "K"
+      "Checkpoint every K waves (0 disables recovery; default: the Daly-style \
+       optimum for this run)."
   in
   let ckpt_cost =
-    Arg.(value & opt float 50.0
-         & info [ "ckpt-cost" ] ~docv:"US"
-             ~doc:"Modelled cost of taking one checkpoint (us).")
+    opt_arg Arg.float 50.0 "ckpt-cost" "US"
+      "Modelled cost of taking one checkpoint (us)."
   in
   let restart_cost =
-    Arg.(value & opt float 500.0
-         & info [ "restart-cost" ] ~docv:"US"
-             ~doc:"Modelled cost of respawning a rank from a snapshot (us).")
+    opt_arg Arg.float 500.0 "restart-cost" "US"
+      "Modelled cost of respawning a rank from a snapshot (us)."
   in
   let tolerance =
-    Arg.(value & opt (some float) None
-         & info [ "tolerance" ] ~docv:"FRAC"
-             ~doc:
-               "Accepted relative gap between simulated and closed-form \
-                overhead (default 0.05).")
+    opt_arg Arg.(some float) None "tolerance" "FRAC"
+      "Accepted relative gap between simulated and closed-form overhead \
+       (default 0.05)."
   in
   let real =
-    Arg.(value & flag
-         & info [ "real" ]
-             ~doc:
-               "Also execute the transport kernel under genuine \
-                checkpoint/rollback, one OCaml domain per rank (use small \
-                core counts).")
+    flag_arg "real"
+      "Also execute the transport kernel under genuine checkpoint/rollback, \
+       one OCaml domain per rank (use small core counts)."
   in
   let fail_on_mismatch =
-    Arg.(value & flag
-         & info [ "fail-on-mismatch" ]
-             ~doc:
-               "Exit 3 when the simulated overhead misses the closed form \
-                beyond --tolerance (or a recovered real run's grid differs \
-                from the reference).")
+    flag_arg "fail-on-mismatch"
+      "Exit 3 when the simulated overhead misses the closed form beyond \
+       --tolerance (or a recovered real run's grid differs from the \
+       reference)."
   in
-  let capacity =
-    Arg.(value & opt (some int) None
-         & info [ "capacity" ] ~docv:"N"
-             ~doc:"Per-tracer span capacity (drops are reported).")
-  in
-  let out =
-    Arg.(value & opt (some string) None
-         & info [ "out" ] ~docv:"FILE" ~doc:"Also write the report to FILE.")
-  in
+  let out = file_arg "out" "Also write the report to FILE." in
   Cmd.v (Cmd.info "recover" ~doc)
-    Term.(const recover $ spec_arg $ app_arg $ grid_arg $ cores_arg $ cpn_arg
-          $ htile_arg $ wg_arg $ iterations_arg $ platform_arg $ engine_arg
+    Term.(const recover $ scenario_term machine_term $ engine_arg
           $ no_bus_arg $ pspec $ interval $ ckpt_cost $ restart_cost
-          $ tolerance $ real $ fail_on_mismatch $ capacity $ out
+          $ tolerance $ real $ fail_on_mismatch $ capacity_arg $ out
           $ Obs_ctx.term)
 
 (* --- timeline --- *)
 
-let timeline spec app_name grid cores cpn htile wg iterations platform engine
-    real no_bus metric capacity json_out csv_out ctx =
-  (match capacity with
-  | Some c when c < 1 ->
-      Fmt.epr "wavefront: --capacity must be at least 1@.";
-      exit 2
-  | _ -> ());
+let timeline (sc, spec) engine real no_bus metric capacity json_out csv_out ctx
+    =
   let metric =
     match Obs.Timeline.metric_of_string metric with
     | Some m -> m
@@ -937,39 +808,20 @@ let timeline spec app_name grid cores cpn htile wg iterations platform engine
           metric;
         exit 2
   in
-  let app = make_app ?spec app_name grid ~htile ~wg ~iterations in
-  let cfg = make_cfg platform ~cores ~cpn in
-  Fmt.pr "timeline of %s on %d cores (%d/node, %s)...@." app.App_params.name
-    cores cpn platform.Loggp.Params.name;
+  let app = sc.Scenario.app in
+  Fmt.pr "timeline of %s on %d cores (%d/node, %s)...@." app.name sc.cores
+    sc.cpn sc.platform.name;
   let t =
     or_rank_ceiling (fun () ->
         Harness.Timeline_report.run ~real ~model_bus:(not no_bus) ~engine
-          ?capacity cfg app)
+          ?capacity (Scenario.config sc) app)
   in
   Fmt.pr "%a@." (Harness.Timeline_report.pp ~metric) t;
-  let write path content what =
-    match open_out path with
-    | exception Sys_error m ->
-        Fmt.epr "wavefront: cannot write %s: %s@." what m;
-        exit 1
-    | oc ->
-        output_string oc content;
-        close_out oc;
-        Fmt.pr "%s written to %s@." what path
-  in
-  Option.iter
-    (fun p -> write p (Harness.Timeline_report.to_json t) "timeline JSON")
-    json_out;
-  Option.iter
-    (fun p -> write p (Harness.Timeline_report.to_csv t) "timeline CSV")
-    csv_out;
-  Obs_ctx.finish
-    ~engine:(Obs_ctx.engine_name engine)
-    ?spec
-    ~config:
-      (Fmt.str "%s|%a|p%d|c%d|%s|bus%b" app.App_params.name
-         Wgrid.Data_grid.pp app.grid cores cpn platform.Loggp.Params.name
-         (not no_bus))
+  write_file "timeline JSON" json_out (fun w ->
+      w (Harness.Timeline_report.to_json t));
+  write_file "timeline CSV" csv_out (fun w ->
+      w (Harness.Timeline_report.to_csv t));
+  Obs_ctx.finish ~engine ~scenario:sc ?spec ~work:[ bus_work no_bus ]
     ~kv:
       [ ("t_iteration", t.t_iteration); ("elapsed", t.sim.elapsed);
         ("gap", t.divergence.gap) ]
@@ -982,136 +834,53 @@ let timeline_cmd =
      as heatmaps, and attribute the model's error wave by wave"
   in
   let real =
-    Arg.(value & flag
-         & info [ "real" ]
-             ~doc:
-               "Also execute the transport kernel on one OCaml domain per \
-                rank and reconstruct its timeline (use small core counts).")
-  in
-  let no_bus =
-    Arg.(value & flag
-         & info [ "no-bus" ]
-             ~doc:
-               "Switch off the simulator's shared-bus contention; with \
-                single-core nodes the observed and model timelines then \
-                coincide.")
+    flag_arg "real"
+      "Also execute the transport kernel on one OCaml domain per rank and \
+       reconstruct its timeline (use small core counts)."
   in
   let metric =
-    Arg.(value & opt string "wait"
-         & info [ "metric" ] ~docv:"M"
-             ~doc:
-               "Heatmap metric: compute, send, recv, wait, idle, busy or \
-                total.")
-  in
-  let capacity =
-    Arg.(value & opt (some int) None
-         & info [ "capacity" ] ~docv:"N"
-             ~doc:"Per-tracer span capacity (drops are reported).")
+    opt_arg Arg.string "wait" "metric" "M"
+      "Heatmap metric: compute, send, recv, wait, idle, busy or total."
   in
   let json_out =
-    Arg.(value & opt (some string) None
-         & info [ "json" ] ~docv:"FILE"
-             ~doc:"Write the wavefront-timeline-report/v1 JSON document.")
+    file_arg "json" "Write the wavefront-timeline-report/v1 JSON document."
   in
-  let csv_out =
-    Arg.(value & opt (some string) None
-         & info [ "csv" ] ~docv:"FILE"
-             ~doc:"Write the per-cell decompositions as CSV.")
-  in
+  let csv_out = file_arg "csv" "Write the per-cell decompositions as CSV." in
   Cmd.v (Cmd.info "timeline" ~doc)
-    Term.(const timeline $ spec_arg $ app_arg $ grid_arg $ cores_arg $ cpn_arg
-          $ htile_arg $ wg_arg $ iterations_arg $ platform_arg $ engine_arg
-          $ real $ no_bus $ metric $ capacity $ json_out $ csv_out
+    Term.(const timeline $ scenario_term machine_term $ engine_arg $ real
+          $ no_bus_arg $ metric $ capacity_arg $ json_out $ csv_out
           $ Obs_ctx.term)
 
 (* --- idlewave --- *)
 
-let idlewave spec app_name grid cores cpn htile wg iterations platform engine
-    pgrid pspec real no_bus fail_on_mismatch capacity out json_out csv_out ctx
-    =
-  (match capacity with
-  | Some c when c < 1 ->
-      Fmt.epr "wavefront: --capacity must be at least 1@.";
-      exit 2
-  | _ -> ());
-  let app = make_app ?spec app_name grid ~htile ~wg ~iterations in
-  let pspec =
-    match pspec with
-    | Some s -> (
-        match Perturb.Spec.of_string s with
-        | Ok p -> p
-        | Error (`Msg m) ->
-            Fmt.epr "wavefront: --perturb: %s@." m;
-            exit 2)
-    | None -> (
-        match spec with
-        | None -> Perturb.Spec.zero
-        | Some path -> (
-            match Apps.Spec.full_of_file path with
-            | Ok { perturb = Some p; _ } -> p
-            | Ok { perturb = None; _ } -> Perturb.Spec.zero
-            | Error (`Msg m) -> Fmt.failwith "%s: %s" path m))
-  in
-  (* --pgrid overrides the near-square factorization of -p: idle-wave
-     studies are pipeline studies, and a COLSx1 chain is where the
-     analytic model is exact. *)
-  let cfg, cores =
-    match pgrid with
-    | None -> (make_cfg platform ~cores ~cpn, cores)
-    | Some s -> (
-        match String.split_on_char 'x' s |> List.map int_of_string_opt with
-        | [ Some c; Some r ] when c >= 1 && r >= 1 ->
-            let platform = Loggp.Params.with_cores_per_node platform cpn in
-            ( Plugplay.config ~cmp:(Wgrid.Cmp.of_cores_per_node cpn)
-                ~pgrid:(Wgrid.Proc_grid.v ~cols:c ~rows:r)
-                platform ~cores:(c * r),
-              c * r )
-        | _ ->
-            Fmt.epr "wavefront: --pgrid expects COLSxROWS, e.g. 16x1@.";
-            exit 2)
-  in
+let idlewave (sc, spec) engine override real no_bus fail_on_mismatch capacity
+    out json_out csv_out ctx =
+  let app = sc.Scenario.app in
+  let pspec = Scenario.perturb ?override sc in
   Fmt.pr "idle-wave study of %s on %d cores (%d/node, %s) with [%a]...@."
-    app.App_params.name cores cpn platform.Loggp.Params.name Perturb.Spec.pp
-    pspec;
+    app.name sc.cores sc.cpn sc.platform.name Perturb.Spec.pp pspec;
   if pspec.pulses = [] then
     Fmt.pr "(no pulse clause: expect no idle wave; try --perturb \
             'pulse=RANK:WAVE:DELAY_US')@.";
   let r =
     or_rank_ceiling (fun () ->
         Harness.Idlewave_report.run ~real ~model_bus:(not no_bus) ~engine
-          ?capacity cfg app pspec)
+          ?capacity (Scenario.config sc) app pspec)
   in
   Fmt.pr "%a@." Harness.Idlewave_report.pp r;
-  let write path content what =
-    match open_out path with
-    | exception Sys_error m ->
-        Fmt.epr "wavefront: cannot write %s: %s@." what m;
-        exit 1
-    | oc ->
-        output_string oc content;
-        close_out oc;
-        Fmt.pr "%s written to %s@." what path
-  in
-  Option.iter
-    (fun p ->
-      write p (Fmt.str "%a@." Harness.Idlewave_report.pp r) "report")
-    out;
-  Option.iter
-    (fun p -> write p (Harness.Idlewave_report.to_json r) "idle-wave JSON")
-    json_out;
-  Option.iter
-    (fun p -> write p (Harness.Idlewave_report.to_csv r) "idle-wave CSV")
-    csv_out;
+  write_file "report" out (fun w ->
+      w (Fmt.str "%a@." Harness.Idlewave_report.pp r));
+  write_file "idle-wave JSON" json_out (fun w ->
+      w (Harness.Idlewave_report.to_json r));
+  write_file "idle-wave CSV" csv_out (fun w ->
+      w (Harness.Idlewave_report.to_csv r));
   (* 0 clean, 3 when a spec'd pulse went undetected or (with
      --fail-on-mismatch) the substrates disagree — see
      Idlewave_report.exit_status. *)
   let status = Harness.Idlewave_report.exit_status ~fail_on_mismatch r in
-  Obs_ctx.finish
-    ~engine:(Obs_ctx.engine_name engine)
-    ?spec
-    ~config:
-      (Fmt.str "%s|%a|p%d|c%d|%s|%a" app.App_params.name Wgrid.Data_grid.pp
-         app.grid cores cpn platform.Loggp.Params.name Perturb.Spec.pp pspec)
+  Obs_ctx.finish ~engine
+    ~scenario:{ sc with perturb = Some pspec }
+    ?spec ~work:[ bus_work no_bus ]
     ~kv:
       [ ("fronts", float_of_int (List.length r.sim.fronts));
         ("identity", bool01 r.identity);
@@ -1126,71 +895,57 @@ let idlewave_cmd =
      model, optionally real), propagation speed and decay fits, \
      reconciled against the closed-form idle-wave model"
   in
+  (* --pgrid overrides the near-square factorization of -p: idle-wave
+     studies are pipeline studies, and a COLSx1 chain is where the
+     analytic model is exact. *)
   let pgrid =
-    Arg.(value & opt (some string) None
-         & info [ "pgrid" ] ~docv:"CxR"
-             ~doc:
-               "Processor grid shape COLSxROWS, overriding the near-square \
-                factorization of -p (e.g. 16x1 for the 1-D chain where the \
-                analytic idle-wave model is exact).")
+    opt_arg Arg.(some string) None "pgrid" "CxR"
+      "Processor grid shape COLSxROWS, overriding the near-square \
+       factorization of -p (e.g. 16x1 for the 1-D chain where the analytic \
+       idle-wave model is exact)."
+  in
+  let pgrid_scenario pgrid a m =
+    match pgrid with
+    | None -> scenario a m
+    | Some s -> (
+        match String.split_on_char 'x' s |> List.map int_of_string_opt with
+        | [ Some cols; Some rows ] when cols >= 1 && rows >= 1 ->
+            scenario
+              ~pgrid:(Wgrid.Proc_grid.v ~cols ~rows)
+              a
+              { m with cores = cols * rows }
+        | _ ->
+            Fmt.epr "wavefront: --pgrid expects COLSxROWS, e.g. 16x1@.";
+            exit 2)
   in
   let pspec =
-    Arg.(value & opt (some string) None
-         & info [ "perturb" ] ~docv:"SPEC"
-             ~doc:
-               "Perturbation clauses; the idle-wave sources are \
-                'pulse=RANK:WAVE:DELAY_US' (repeatable), \
-                'periodic=PERIOD_WAVES:AMPLITUDE_US' and 'collnoise=US', \
-                composable with the noise/straggler/link clauses. \
-                Overrides the spec file's perturb stanza.")
+    perturb_arg
+      "Perturbation clauses; the idle-wave sources are \
+       'pulse=RANK:WAVE:DELAY_US' (repeatable), \
+       'periodic=PERIOD_WAVES:AMPLITUDE_US' and 'collnoise=US', composable \
+       with the noise/straggler/link clauses. Overrides the spec file's \
+       perturb stanza."
   in
   let real =
-    Arg.(value & flag
-         & info [ "real" ]
-             ~doc:
-               "Also execute the transport kernel pair on one OCaml domain \
-                per rank and run the detector on its timelines (use small \
-                core counts).")
-  in
-  let no_bus =
-    Arg.(value & flag
-         & info [ "no-bus" ]
-             ~doc:
-               "Switch off the simulator's shared-bus contention; with \
-                single-core nodes the simulated and model timelines then \
-                coincide cell for cell.")
+    flag_arg "real"
+      "Also execute the transport kernel pair on one OCaml domain per rank \
+       and run the detector on its timelines (use small core counts)."
   in
   let fail_on_mismatch =
-    Arg.(value & flag
-         & info [ "fail-on-mismatch" ]
-             ~doc:
-               "Exit 3 when the sim/model timelines diverge or the \
-                fitted hop latency misses the analytic one beyond 5%.")
+    flag_arg "fail-on-mismatch"
+      "Exit 3 when the sim/model timelines diverge or the fitted hop \
+       latency misses the analytic one beyond 5%."
   in
-  let capacity =
-    Arg.(value & opt (some int) None
-         & info [ "capacity" ] ~docv:"N"
-             ~doc:"Per-tracer span capacity (drops are reported).")
-  in
-  let out =
-    Arg.(value & opt (some string) None
-         & info [ "out" ] ~docv:"FILE" ~doc:"Also write the report to FILE.")
-  in
+  let out = file_arg "out" "Also write the report to FILE." in
   let json_out =
-    Arg.(value & opt (some string) None
-         & info [ "json" ] ~docv:"FILE"
-             ~doc:"Write the wavefront-idlewave/v1 JSON document.")
+    file_arg "json" "Write the wavefront-idlewave/v1 JSON document."
   in
-  let csv_out =
-    Arg.(value & opt (some string) None
-         & info [ "csv" ] ~docv:"FILE"
-             ~doc:"Write the reconciliation table as CSV.")
-  in
+  let csv_out = file_arg "csv" "Write the reconciliation table as CSV." in
   Cmd.v (Cmd.info "idlewave" ~doc)
-    Term.(const idlewave $ spec_arg $ app_arg $ grid_arg $ cores_arg $ cpn_arg
-          $ htile_arg $ wg_arg $ iterations_arg $ platform_arg $ engine_arg
-          $ pgrid $ pspec $ real $ no_bus $ fail_on_mismatch $ capacity $ out
-          $ json_out $ csv_out $ Obs_ctx.term)
+    Term.(const idlewave
+          $ (const pgrid_scenario $ pgrid $ app_term $ machine_term)
+          $ engine_arg $ pspec $ real $ no_bus_arg $ fail_on_mismatch
+          $ capacity_arg $ out $ json_out $ csv_out $ Obs_ctx.term)
 
 (* --- bench --- *)
 
@@ -1263,46 +1018,34 @@ let bench_cmd =
      repetitions, bootstrap confidence intervals), emit a \
      machine-readable report, and optionally compare against a baseline"
   in
-  let quick =
-    Arg.(value & flag
-         & info [ "quick" ] ~doc:"Run only the fast CI subset of cases.")
-  in
+  let quick = flag_arg "quick" "Run only the fast CI subset of cases." in
   let out =
-    Arg.(value & opt (some string) (Some "BENCH_wavefront.json")
-         & info [ "out" ] ~docv:"FILE"
-             ~doc:"Write the wavefront-bench/v1 JSON report (default \
-                   BENCH_wavefront.json).")
+    opt_arg Arg.(some string) (Some "BENCH_wavefront.json") "out" "FILE"
+      "Write the wavefront-bench/v1 JSON report (default \
+       BENCH_wavefront.json)."
   in
   let against =
-    Arg.(value & opt (some file) None
-         & info [ "against" ] ~docv:"OLD.json"
-             ~doc:
-               "Compare against a previous report; regressions are cases \
-                whose confidence intervals are disjoint from the \
-                baseline's and whose median moved beyond the noise \
-                threshold.")
+    opt_arg Arg.(some file) None "against" "OLD.json"
+      "Compare against a previous report; regressions are cases whose \
+       confidence intervals are disjoint from the baseline's and whose median \
+       moved beyond the noise threshold."
   in
   let fail_on_regression =
-    Arg.(value & flag
-         & info [ "fail-on-regression" ]
-             ~doc:
-               "Exit 1 when --against finds regressions (default: report \
-                and exit 0, the soft CI gate).")
+    flag_arg "fail-on-regression"
+      "Exit 1 when --against finds regressions (default: report and exit 0, \
+       the soft CI gate)."
   in
   let label =
-    Arg.(value & opt string "local"
-         & info [ "label" ] ~docv:"LABEL"
-             ~doc:"Label recorded in the report, e.g. a git ref.")
+    opt_arg Arg.string "local" "label" "LABEL"
+      "Label recorded in the report, e.g. a git ref."
   in
   let repeats =
-    Arg.(value & opt (some int) None
-         & info [ "repeats" ] ~docv:"N"
-             ~doc:"Timed repetitions per case (default 20).")
+    opt_arg Arg.(some int) None "repeats" "N"
+      "Timed repetitions per case (default 20)."
   in
   let min_delta =
-    Arg.(value & opt (some float) None
-         & info [ "min-delta-pct" ] ~docv:"PCT"
-             ~doc:"Noise threshold for --against (default 5%).")
+    opt_arg Arg.(some float) None "min-delta-pct" "PCT"
+      "Noise threshold for --against (default 5%)."
   in
   Cmd.v (Cmd.info "bench" ~doc)
     Term.(const bench $ quick $ out $ against $ fail_on_regression $ label
@@ -1344,10 +1087,9 @@ let fit real ctx =
 let fit_cmd =
   let doc = "Fit LogGP parameters from a ping-pong microbenchmark" in
   let real =
-    Arg.(value & flag
-         & info [ "real" ]
-             ~doc:"Measure this machine's shared-memory transport instead \
-                   of the simulated XT4.")
+    flag_arg "real"
+      "Measure this machine's shared-memory transport instead of the \
+       simulated XT4."
   in
   Cmd.v (Cmd.info "fit" ~doc) Term.(const fit $ real $ Obs_ctx.term)
 
@@ -1413,7 +1155,7 @@ let alloc_targets =
       prepare =
         (fun ~cores ->
           let app = Apps.Sweep3d.params (Wgrid.Data_grid.cube 32) in
-          let cfg = make_cfg Loggp.Params.xt4 ~cores ~cpn:2 in
+          let cfg = Plugplay.config Loggp.Params.xt4 ~cores in
           let e = Plugplay.Eval.create app cfg in
           fun () -> Plugplay.Eval.run e);
     };
@@ -1585,11 +1327,9 @@ let telemetry_cmd =
                 steady-state grid (at least 9).")
   in
   let assert_zero =
-    Arg.(value & flag
-         & info [ "assert-zero-alloc" ]
-             ~doc:
-               "Exit 1 when any measured target exceeds its allocation \
-                budget (the CI gate; default reports without failing).")
+    flag_arg "assert-zero-alloc"
+      "Exit 1 when any measured target exceeds its allocation budget (the CI \
+       gate; default reports without failing)."
   in
   Cmd.v (Cmd.info "telemetry" ~doc)
     Term.(const telemetry $ targets $ cores $ assert_zero $ Obs_ctx.term)
@@ -1702,17 +1442,13 @@ let runs_compare_cmd =
              ~doc:"Current record index (negative counts from the end).")
   in
   let min_delta =
-    Arg.(value & opt (some float) None
-         & info [ "min-delta-pct" ] ~docv:"PCT"
-             ~doc:"Noise threshold; moves under it are Unchanged \
-                   (default 5%).")
+    opt_arg Arg.(some float) None "min-delta-pct" "PCT"
+      "Noise threshold; moves under it are Unchanged (default 5%)."
   in
   let fail_on_regression =
-    Arg.(value & flag
-         & info [ "fail-on-regression" ]
-             ~doc:
-               "Exit 1 when any metric regressed (default: report and \
-                exit 0, the soft CI gate).")
+    flag_arg "fail-on-regression"
+      "Exit 1 when any metric regressed (default: report and exit 0, the soft \
+       CI gate)."
   in
   Cmd.v (Cmd.info "compare" ~doc)
     Term.(const runs_compare $ runs_ledger_arg $ base $ current $ min_delta
@@ -1792,73 +1528,56 @@ let serve_cmd =
          every admitted connection is answered, then exit 0.";
     ]
   in
-  let workers =
-    Arg.(value & opt int 4
-         & info [ "workers" ] ~docv:"N" ~doc:"Worker domains.")
-  in
+  let workers = opt_arg Arg.int 4 "workers" "N" "Worker domains." in
   let queue =
-    Arg.(value & opt int 64
-         & info [ "queue" ] ~docv:"N"
-             ~doc:"Admission queue capacity; beyond it connections shed \
-                   with 429.")
+    opt_arg Arg.int 64 "queue" "N"
+      "Admission queue capacity; beyond it connections shed with 429."
   in
   let max_body =
-    Arg.(value & opt int (1024 * 1024)
-         & info [ "max-body" ] ~docv:"BYTES"
-             ~doc:"Request body cap; larger advertisements get 413 before \
-                   the body is read.")
+    opt_arg Arg.int (1024 * 1024) "max-body" "BYTES"
+      "Request body cap; larger advertisements get 413 before the body is \
+       read."
   in
   let header_timeout =
-    Arg.(value & opt float 2000.0
-         & info [ "header-timeout-ms" ] ~docv:"MS"
-             ~doc:"Budget for a request to arrive in full (slow-loris \
-                   defense, 408).")
+    opt_arg Arg.float 2000.0 "header-timeout-ms" "MS"
+      "Budget for a request to arrive in full (slow-loris defense, 408)."
   in
   let deadline =
-    Arg.(value & opt float 10_000.0
-         & info [ "default-deadline-ms" ] ~docv:"MS"
-             ~doc:"Per-request deadline when X-Deadline-Ms is absent.")
+    opt_arg Arg.float 10_000.0 "default-deadline-ms" "MS"
+      "Per-request deadline when X-Deadline-Ms is absent."
   in
   let chaos_burst =
-    Arg.(value & opt int 0
-         & info [ "chaos-fail-burst" ] ~docv:"N"
-             ~doc:"Chaos: fail the first N validation calls (opens the \
-                   breaker deterministically, then lets it recover).")
+    opt_arg Arg.int 0 "chaos-fail-burst" "N"
+      "Chaos: fail the first N validation calls (opens the breaker \
+       deterministically, then lets it recover)."
   in
   let chaos_fail =
-    Arg.(value & opt float 0.0
-         & info [ "chaos-fail-rate" ] ~docv:"P"
-             ~doc:"Chaos: steady-state validation failure probability.")
+    opt_arg Arg.float 0.0 "chaos-fail-rate" "P"
+      "Chaos: steady-state validation failure probability."
   in
   let chaos_slow =
-    Arg.(value & opt float 0.0
-         & info [ "chaos-slow-rate" ] ~docv:"P"
-             ~doc:"Chaos: probability of stalling a validation call.")
+    opt_arg Arg.float 0.0 "chaos-slow-rate" "P"
+      "Chaos: probability of stalling a validation call."
   in
   let chaos_slow_ms =
-    Arg.(value & opt float 50.0
-         & info [ "chaos-slow-ms" ] ~docv:"MS"
-             ~doc:"Chaos: stall duration for --chaos-slow-rate.")
+    opt_arg Arg.float 50.0 "chaos-slow-ms" "MS"
+      "Chaos: stall duration for --chaos-slow-rate."
   in
   let breaker_window =
-    Arg.(value & opt int 16
-         & info [ "breaker-window" ] ~docv:"N"
-             ~doc:"Sliding outcome window of the validation breaker.")
+    opt_arg Arg.int 16 "breaker-window" "N"
+      "Sliding outcome window of the validation breaker."
   in
   let breaker_min_calls =
-    Arg.(value & opt int 4
-         & info [ "breaker-min-calls" ] ~docv:"N"
-             ~doc:"Outcomes required before the failure rate is judged.")
+    opt_arg Arg.int 4 "breaker-min-calls" "N"
+      "Outcomes required before the failure rate is judged."
   in
   let breaker_threshold =
-    Arg.(value & opt float 0.5
-         & info [ "breaker-threshold" ] ~docv:"F"
-             ~doc:"Failure fraction that opens the breaker.")
+    opt_arg Arg.float 0.5 "breaker-threshold" "F"
+      "Failure fraction that opens the breaker."
   in
   let breaker_cooldown =
-    Arg.(value & opt float 2.0
-         & info [ "breaker-cooldown-s" ] ~docv:"S"
-             ~doc:"Open-state cooldown before the half-open probe.")
+    opt_arg Arg.float 2.0 "breaker-cooldown-s" "S"
+      "Open-state cooldown before the half-open probe."
   in
   Cmd.v (Cmd.info "serve" ~doc ~man)
     Term.(const serve_main $ host_arg
@@ -1912,37 +1631,25 @@ let slam_cmd =
     Arg.(value & opt int 1000
          & info [ "n"; "requests" ] ~docv:"N" ~doc:"Total requests.")
   in
-  let clients =
-    Arg.(value & opt int 4
-         & info [ "clients" ] ~docv:"N" ~doc:"Concurrent client domains.")
-  in
+  let clients = opt_arg Arg.int 4 "clients" "N" "Concurrent client domains." in
   let client_timeout =
-    Arg.(value & opt float 10.0
-         & info [ "client-timeout-s" ] ~docv:"S"
-             ~doc:"Per-connection give-up budget (a hang past it is an \
-                   invariant breach).")
+    opt_arg Arg.float 10.0 "client-timeout-s" "S"
+      "Per-connection give-up budget (a hang past it is an invariant breach)."
   in
   let latency_budget =
-    Arg.(value & opt float 2000.0
-         & info [ "latency-budget-ms" ] ~docv:"MS"
-             ~doc:"Fast-path p99 bound.")
+    opt_arg Arg.float 2000.0 "latency-budget-ms" "MS" "Fast-path p99 bound."
   in
   let expect_breaker =
-    Arg.(value & flag
-         & info [ "expect-breaker" ]
-             ~doc:"Assert the validation breaker opened and recovered \
-                   (pair with the daemon's --chaos-fail-burst).")
+    flag_arg "expect-breaker"
+      "Assert the validation breaker opened and recovered (pair with the \
+       daemon's --chaos-fail-burst)."
   in
   let fail_on_invariant =
-    Arg.(value & flag
-         & info [ "fail-on-invariant" ]
-             ~doc:"Exit 1 when any invariant failed (default: report and \
-                   exit 0).")
+    flag_arg "fail-on-invariant"
+      "Exit 1 when any invariant failed (default: report and exit 0)."
   in
   let report =
-    Arg.(value & opt (some string) None
-         & info [ "report" ] ~docv:"FILE"
-             ~doc:"Write the wavefront-slam/v1 JSON report here.")
+    file_arg "report" "Write the wavefront-slam/v1 JSON report here."
   in
   Cmd.v (Cmd.info "slam" ~doc ~man)
     Term.(const slam_main $ host_arg

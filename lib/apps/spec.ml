@@ -218,5 +218,3 @@ let full_of_file path =
   match In_channel.with_open_text path In_channel.input_all with
   | text -> full_of_string text
   | exception Sys_error m -> Error (`Msg m)
-
-let of_file path = Result.map (fun f -> f.app) (full_of_file path)

@@ -19,4 +19,3 @@ val of_string : string -> (Wavefront_core.App_params.t, error) result
     still parses — and still fails loudly when malformed — but is
     dropped). *)
 
-val of_file : string -> (Wavefront_core.App_params.t, error) result

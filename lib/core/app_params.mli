@@ -51,6 +51,10 @@ val with_wg : t -> float -> t
 val counts : t -> Sweeps.Schedule.counts
 (** The schedule's [nsweeps], [nfull], [ndiag] (Table 3). *)
 
+val waves : t -> int
+(** Waves per iteration: one per tile height per sweep,
+    [nsweeps * ceil (nz / htile)]. *)
+
 val message_size_ew : t -> Proc_grid.t -> int
 (** [MessageSize_EW = bytes_per_cell_ew * Htile * Ny/m] in bytes, rounded
     up. *)

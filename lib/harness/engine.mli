@@ -12,11 +12,9 @@
 type t = Event | Batched
 
 val to_string : t -> string
-val of_string : string -> t option
+
 val all : (string * t) list
 (** Name/value pairs for a [Cmdliner.Arg.enum]. *)
-
-val pp : Format.formatter -> t -> unit
 
 val observed_run :
   ?model_bus:bool ->

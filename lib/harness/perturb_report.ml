@@ -60,10 +60,7 @@ let run ?(real = false) ?(model_bus = true) ?(engine = Engine.Event)
         (sim_base, sim))
   in
   let spans = Obs.Tracer.spans obs in
-  let waves =
-    Sweeps.Schedule.nsweeps app.schedule
-    * Wgrid.Tile.ntiles_int ~nz:app.grid.nz ~htile:app.htile
-  in
+  let waves = App_params.waves app in
   let timeline_of tr sp =
     Obs.Timeline.of_spans ~dropped:(Obs.Tracer.dropped tr) ~waves sp
   in

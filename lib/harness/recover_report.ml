@@ -106,8 +106,7 @@ let run ?(real = false) ?(model_bus = true) ?(engine = Engine.Event)
   let phases = Obs.Runtime.phases () in
   let r = Plugplay.iteration app cfg in
   let wave_cost = r.w +. r.w_pre in
-  let ntiles = Wgrid.Tile.ntiles_int ~nz:app.grid.nz ~htile:app.htile in
-  let waves = Sweeps.Schedule.nsweeps app.schedule * ntiles in
+  let waves = App_params.waves app in
   (* One global wave per tile step of a rank, so a rank killed before its
      n-th tile dies at global wave n; clauses past the end never fire. *)
   let fail_waves =

@@ -13,8 +13,8 @@ type t =
   | List of t list
   | Obj of (string * t) list
 
-let escape s =
-  let b = Buffer.create (String.length s + 8) in
+let add_string b s =
+  Buffer.add_char b '"';
   String.iter
     (fun c ->
       match c with
@@ -27,7 +27,7 @@ let escape s =
           Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
       | c -> Buffer.add_char b c)
     s;
-  Buffer.contents b
+  Buffer.add_char b '"'
 
 let rec print b = function
   | Null -> Buffer.add_string b "null"
@@ -36,10 +36,7 @@ let rec print b = function
       if Float.is_integer v && Float.abs v < 1e15 then
         Buffer.add_string b (Printf.sprintf "%.0f" v)
       else Buffer.add_string b (Printf.sprintf "%.17g" v)
-  | Str s ->
-      Buffer.add_char b '"';
-      Buffer.add_string b (escape s);
-      Buffer.add_char b '"'
+  | Str s -> add_string b s
   | List l ->
       Buffer.add_char b '[';
       List.iteri
@@ -53,9 +50,8 @@ let rec print b = function
       List.iteri
         (fun i (k, v) ->
           if i > 0 then Buffer.add_char b ',';
-          Buffer.add_char b '"';
-          Buffer.add_string b (escape k);
-          Buffer.add_string b "\":";
+          add_string b k;
+          Buffer.add_char b ':';
           print b v)
         kvs;
       Buffer.add_char b '}'
@@ -246,3 +242,63 @@ let get_num name = function
 let get_list name = function
   | Some (List l) -> l
   | _ -> raise (Parse_error ("missing or non-array field " ^ name))
+
+(* Request validation: typed field access with client-facing messages,
+   for callers that turn a well-formed document of the wrong shape into
+   a 400 rather than a parse failure. *)
+module Field = struct
+  exception Invalid of string
+
+  let fail fmt = Printf.ksprintf (fun m -> raise (Invalid m)) fmt
+
+  let get name j =
+    match member name j with
+    | Some v -> v
+    | None -> fail "missing field %S" name
+
+  let obj name j =
+    match get name j with
+    | Obj _ as o -> o
+    | _ -> fail "field %S must be an object" name
+
+  let num name j =
+    match get name j with
+    | Num x when Float.is_finite x -> x
+    | _ -> fail "field %S must be a finite number" name
+
+  let int name j =
+    let x = num name j in
+    if Float.is_integer x then int_of_float x
+    else fail "field %S must be an integer" name
+
+  let str name j =
+    match get name j with
+    | Str s -> s
+    | _ -> fail "field %S must be a string" name
+
+  let opt f name j =
+    match member name j with
+    | None | Some Null -> None
+    | Some _ -> Some (f name j)
+
+  let flag name j =
+    match member name j with
+    | None | Some Null -> false
+    | Some (Bool b) -> b
+    | Some _ -> fail "field %S must be a boolean" name
+
+  let list name j =
+    match get name j with
+    | List (_ :: _ as l) -> l
+    | List [] -> fail "field %S must be a non-empty list" name
+    | _ -> fail "field %S must be a list" name
+
+  let num_item name = function
+    | Num x when Float.is_finite x -> x
+    | _ -> fail "elements of %S must be finite numbers" name
+
+  let int_item name v =
+    let x = num_item name v in
+    if Float.is_integer x then int_of_float x
+    else fail "elements of %S must be integers" name
+end

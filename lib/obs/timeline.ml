@@ -420,27 +420,12 @@ let render ?(metric = Wait) ?(max_ranks = 32) ?(max_cols = 72) ?mark ppf t =
 
 let schema = "wavefront-timeline/v1"
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 let to_json ?(label = "") t =
   let b = Buffer.create 4096 in
-  Buffer.add_string b
-    (Printf.sprintf
-       "{\"schema\":\"%s\",\"label\":\"%s\",\"ranks\":%d,\"waves\":%d,\
-        \"dropped\":%d,\"cells\":[" schema (json_escape label) t.ranks t.waves
-       t.dropped);
+  Printf.bprintf b "{\"schema\":\"%s\",\"label\":" schema;
+  Json.add_string b label;
+  Printf.bprintf b ",\"ranks\":%d,\"waves\":%d,\"dropped\":%d,\"cells\":["
+    t.ranks t.waves t.dropped;
   let first = ref true in
   for rank = 0 to t.ranks - 1 do
     for col = 0 to t.waves do

@@ -49,10 +49,7 @@ let iteration (app : App_params.t) (cfg : Plugplay.config) (spec : Spec.t) =
     | Some { prob; delay } -> 2.0 *. path_tiles *. prob *. delay
   in
   let straggler =
-    let tiles_per_iter =
-      Wgrid.Tile.ntiles_int ~nz:app.grid.nz ~htile:app.htile
-      * Sweeps.Schedule.nsweeps app.schedule
-    in
+    let tiles_per_iter = App_params.waves app in
     List.fold_left
       (fun worst (s : Spec.straggler) ->
         Float.max worst (s.delay *. float_of_int tiles_per_iter))

@@ -5,138 +5,41 @@
 module Json = Obs.Json
 module App_params = Wavefront_core.App_params
 module Plugplay = Wavefront_core.Plugplay
+module Field = Json.Field
 
-(* --- parsing helpers ------------------------------------------------ *)
-
-exception Bad of string
-
-let fail fmt = Printf.ksprintf (fun m -> raise (Bad m)) fmt
-
-let obj_member name j =
-  match Json.member name j with
-  | Some v -> v
-  | None -> fail "missing field %S" name
-
-let get_obj name j =
-  match obj_member name j with
-  | Json.Obj _ as o -> o
-  | _ -> fail "field %S must be an object" name
-
-let get_num name j =
-  match obj_member name j with
-  | Json.Num x when Float.is_finite x -> x
-  | _ -> fail "field %S must be a finite number" name
-
-let get_int name j =
-  let x = get_num name j in
-  if Float.is_integer x then int_of_float x
-  else fail "field %S must be an integer" name
-
-let get_str name j =
-  match obj_member name j with
-  | Json.Str s -> s
-  | _ -> fail "field %S must be a string" name
-
-let opt_member name j f = match Json.member name j with
-  | None | Some Json.Null -> None
-  | Some _ -> Some (f name j)
-
-let get_bool_opt name j =
-  match Json.member name j with
-  | None | Some Json.Null -> false
-  | Some (Json.Bool b) -> b
-  | Some _ -> fail "field %S must be a boolean" name
-
-let get_list name j =
-  match obj_member name j with
-  | Json.List l when l <> [] -> l
-  | Json.List [] -> fail "field %S must be a non-empty list" name
-  | _ -> fail "field %S must be a list" name
-
-let num_item name = function
-  | Json.Num x when Float.is_finite x -> x
-  | _ -> fail "elements of %S must be finite numbers" name
-
-let int_item name v =
-  let x = num_item name v in
-  if Float.is_integer x then int_of_float x
-  else fail "elements of %S must be integers" name
+let fail = Field.fail
 
 (* --- /v1/predict ---------------------------------------------------- *)
 
-type predict = {
-  app : App_params.t;
-  platform : Loggp.Params.t;
-  cfg : Plugplay.config;
-  cores : int;
-  cpn : int;
-  validate : bool;
-}
+type predict = { app : App_params.t; cfg : Plugplay.config; validate : bool }
 
-let platform_of_key = function
-  | "xt4" -> Loggp.Params.xt4
-  | "sp2" -> Loggp.Params.sp2
-  | "bluegene_l" -> Loggp.Params.bluegene_l
-  | "red_storm" -> Loggp.Params.red_storm
-  | k -> fail "unknown platform %S (try xt4, sp2, bluegene_l, red_storm)" k
-
-let parse_app j =
-  let app_j = get_obj "app" j in
-  let name = get_str "name" app_j in
-  let dim d =
-    let v = get_int d app_j in
-    if v < 1 || v > 1_000_000 then fail "field %S out of range" d;
-    v
-  in
-  let grid = Wgrid.Data_grid.v ~nx:(dim "nx") ~ny:(dim "ny") ~nz:(dim "nz") in
-  let wg = opt_member "wg" app_j get_num in
-  let htile = opt_member "htile" app_j get_num in
-  let iterations = opt_member "iterations" app_j get_int in
-  let app =
-    match name with
-    | "lu" -> Apps.Lu.params ?wg ?iterations grid
-    | "sweep3d" -> Apps.Sweep3d.params ?wg ?iterations grid
-    | "chimaera" -> Apps.Chimaera.params ?wg ?iterations grid
-    | n -> fail "unknown app %S (try lu, sweep3d, chimaera)" n
-  in
-  match htile with Some h -> App_params.with_htile app h | None -> app
-
-let parse_machine ?(need_cores = true) j =
-  let m = get_obj "machine" j in
-  let platform = platform_of_key (get_str "platform" m) in
-  let cpn = get_int "cores_per_node" m in
-  if cpn < 1 || cpn > 64 then fail "cores_per_node out of range [1, 64]";
-  let cores =
-    if not need_cores then 0
-    else begin
-      let c = get_int "cores" m in
-      if c < 1 || c > 16_777_216 then fail "cores out of range [1, 2^24]";
-      c
-    end
-  in
-  (Loggp.Params.with_cores_per_node platform cpn, cpn, cores)
-
-(* App_params/Plugplay constructors validate their domains with
-   [Invalid_argument]; on this path that is client error, not server
-   bug. *)
+(* Scenario errors come back as messages; the App_params / Plugplay
+   constructors below them guard their domains with [Invalid_argument].
+   On this path all of it is client error, not server bug. *)
 let guarding f =
   match f () with
   | v -> Ok v
-  | exception Bad m -> Error m
+  | exception Field.Invalid m -> Error m
   | exception Json.Parse_error m -> Error ("malformed JSON: " ^ m)
   | exception Invalid_argument m -> Error m
   | exception Failure m -> Error m
 
+let scenario shape j =
+  match Apps.Scenario.of_json shape j with
+  | Ok sc -> sc
+  | Error m -> fail "%s" m
+
 let parse_predict body =
   guarding (fun () ->
       let j = Json.of_string body in
-      let app = parse_app j in
-      let platform, cpn, cores = parse_machine j in
-      let cfg =
-        Plugplay.config ~cmp:(Wgrid.Cmp.of_cores_per_node cpn) platform ~cores
-      in
-      let validate = get_bool_opt "validate" j in
-      { app; platform; cfg; cores; cpn; validate })
+      let sc = scenario `Predict j in
+      {
+        app = sc.app;
+        cfg = Apps.Scenario.config sc;
+        validate = Field.flag "validate" j;
+      })
+
+let cores p = Wgrid.Proc_grid.cores p.cfg.pgrid
 
 type validation =
   | Not_requested
@@ -149,12 +52,12 @@ type validation =
   | Degraded of string
 
 let validate_run ?(max_cores = 64) p =
-  let cores = min p.cores max_cores in
+  let cores = min (cores p) max_cores in
   let pg = Wgrid.Proc_grid.of_cores cores in
-  let cmp = Wgrid.Cmp.of_cores_per_node p.cpn in
-  let costs = Wrun.Costs.loggp ~model_bus:true ~cmp p.platform pg p.app in
+  let { Plugplay.cmp; platform; _ } = p.cfg in
+  let costs = Wrun.Costs.loggp ~model_bus:true ~cmp platform pg p.app in
   let o = Wrun.Batched.run ~costs pg p.app in
-  let cfg = Plugplay.config ~cmp ~pgrid:pg p.platform ~cores in
+  let cfg = Plugplay.config ~cmp ~pgrid:pg platform ~cores in
   let model = Plugplay.time_per_iteration p.app cfg in
   let engine = o.Wrun.Batched.per_iteration in
   let error_pct =
@@ -164,41 +67,25 @@ let validate_run ?(max_cores = 64) p =
 
 (* --- response serialization ----------------------------------------- *)
 
-let add_json_string b s =
-  Buffer.add_char b '"';
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\r' -> Buffer.add_string b "\\r"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.add_char b '"'
-
 let eval_predict_into b p ~validation =
   Buffer.clear b;
   let ev = Plugplay.Eval.create p.app p.cfg in
   Plugplay.Eval.run ev;
   let r = Plugplay.Eval.result ev in
   Buffer.add_string b {|{"schema":"wavefront-predict/v1","app":|};
-  add_json_string b p.app.App_params.name;
+  Json.add_string b p.app.App_params.name;
   Buffer.add_string b {|,"platform":|};
-  add_json_string b p.platform.Loggp.Params.name;
+  Json.add_string b p.cfg.platform.Loggp.Params.name;
   Printf.bprintf b
     {|,"cores":%d,"cores_per_node":%d,"t_iteration":%.17g,"t_diagfill":%.17g,"t_fullfill":%.17g,"t_stack":%.17g,"t_nonwavefront":%.17g,"w":%.17g,"w_pre":%.17g,"msg_ew":%d,"msg_ns":%d,"time_per_time_step":%.17g|}
-    p.cores p.cpn r.Plugplay.t_iteration r.t_diagfill r.t_fullfill r.t_stack
+    (cores p) p.cfg.platform.cores_per_node r.Plugplay.t_iteration r.t_diagfill r.t_fullfill r.t_stack
     r.t_nonwavefront r.w r.w_pre r.msg_ew r.msg_ns
     (float_of_int p.app.App_params.iterations *. r.t_iteration);
   (match validation with
   | Not_requested -> Buffer.add_string b {|,"degraded":false,"validation":null|}
   | Degraded reason ->
       Buffer.add_string b {|,"degraded":true,"validation":null,"reason":|};
-      add_json_string b reason
+      Json.add_string b reason
   | Validated { cores; engine; model; error_pct } ->
       Printf.bprintf b
         {|,"degraded":false,"validation":{"cores":%d,"engine":%.17g,"model":%.17g,"error_pct":%.17g}|}
@@ -218,9 +105,7 @@ let max_sweep_points = 4096
 let max_point_cores = 1_048_576
 
 type sweep = {
-  base : App_params.t;
-  s_platform : Loggp.Params.t;
-  s_cpn : int;
+  base : Apps.Scenario.t;
   htiles : float list;
   grids : (int * int) list;
   ks : int list;
@@ -232,38 +117,38 @@ type sweep = {
 let parse_sweep body =
   guarding (fun () ->
       let j = Json.of_string body in
-      let base = parse_app j in
-      let s_platform, s_cpn, _ = parse_machine ~need_cores:false j in
+      let base = scenario `Sweep j in
       let htiles =
         List.map
           (fun v ->
-            let h = num_item "htile" v in
+            let h = Field.num_item "htile" v in
             if h <= 0.0 then fail "htile values must be > 0";
             h)
-          (get_list "htile" j)
+          (Field.list "htile" j)
       in
       let grids =
         List.map
           (function
             | Json.List [ c; r ] ->
-                let cols = int_item "grids" c and rows = int_item "grids" r in
+                let cols = Field.int_item "grids" c in
+                let rows = Field.int_item "grids" r in
                 if cols < 1 || rows < 1 then fail "grid sides must be >= 1";
                 if cols * rows > max_point_cores then
                   fail "grid %dx%d exceeds %d cores" cols rows max_point_cores;
                 (cols, rows)
             | _ -> fail "elements of \"grids\" must be [cols, rows] pairs")
-          (get_list "grids" j)
+          (Field.list "grids" j)
       in
       let ks =
         List.map
           (fun v ->
-            let k = int_item "k" v in
+            let k = Field.int_item "k" v in
             if k < 0 then fail "checkpoint intervals must be >= 0";
             k)
-          (get_list "k" j)
+          (Field.list "k" j)
       in
       let opt_cost name =
-        match opt_member name j get_num with
+        match Field.opt Field.num name j with
         | None -> 0.0
         | Some c ->
             if c < 0.0 then fail "field %S must be >= 0" name;
@@ -272,7 +157,7 @@ let parse_sweep body =
       let ckpt_cost = opt_cost "ckpt_cost" in
       let restart_cost = opt_cost "restart_cost" in
       let failures =
-        match opt_member "failures" j get_int with
+        match Field.opt Field.int "failures" j with
         | None -> 0
         | Some f ->
             if f < 0 then fail "field \"failures\" must be >= 0";
@@ -282,17 +167,7 @@ let parse_sweep body =
       if points > max_sweep_points then
         fail "sweep describes %d points; the limit is %d" points
           max_sweep_points;
-      {
-        base;
-        s_platform;
-        s_cpn;
-        htiles;
-        grids;
-        ks;
-        ckpt_cost;
-        restart_cost;
-        failures;
-      })
+      { base; htiles; grids; ks; ckpt_cost; restart_cost; failures })
 
 let sweep_points s =
   List.length s.htiles * List.length s.grids * List.length s.ks
@@ -309,27 +184,18 @@ type point = {
 }
 
 let eval_point s ~htile ~cols ~rows ~k =
-  let app = App_params.with_htile s.base htile in
+  let app = App_params.with_htile s.base.app htile in
   let cores = cols * rows in
-  let pg = Wgrid.Proc_grid.v ~cols ~rows in
-  let cfg =
-    Plugplay.config
-      ~cmp:(Wgrid.Cmp.of_cores_per_node s.s_cpn)
-      ~pgrid:pg s.s_platform ~cores
-  in
+  let pgrid = Some (Wgrid.Proc_grid.v ~cols ~rows) in
+  let cfg = Apps.Scenario.config { s.base with cores; pgrid } in
   let r = Plugplay.iteration app cfg in
   (* Per-iteration resilience overhead over one iteration's waves, the
      same accounting as the resilience subcommand. *)
-  let waves =
-    Sweeps.Schedule.nsweeps app.App_params.schedule
-    * Wgrid.Tile.ntiles_int ~nz:app.App_params.grid.Wgrid.Data_grid.nz
-        ~htile:app.App_params.htile
-  in
-  let policy = Perturb.Recover.v ~ckpt_cost:s.ckpt_cost
-      ~restart_cost:s.restart_cost k
+  let policy =
+    Perturb.Recover.v ~ckpt_cost:s.ckpt_cost ~restart_cost:s.restart_cost k
   in
   let term =
-    Perturb.Recover.expected_term policy ~waves
+    Perturb.Recover.expected_term policy ~waves:(App_params.waves app)
       ~wave_cost:(r.Plugplay.w +. r.Plugplay.w_pre)
       ~failures:s.failures
   in
@@ -345,8 +211,7 @@ let eval_point s ~htile ~cols ~rows ~k =
     total = r.Plugplay.t_iteration +. overhead;
   }
 
-let run_sweep ?(check_every = 16) ~deadline s =
-  if check_every < 1 then invalid_arg "Api.run_sweep: check_every must be >= 1";
+let run_sweep ~deadline s =
   let acc = ref [] in
   let evaluated = ref 0 in
   let expired = ref false in
@@ -357,9 +222,7 @@ let run_sweep ?(check_every = 16) ~deadline s =
            (fun (cols, rows) ->
              List.iter
                (fun k ->
-                 if
-                   !evaluated mod check_every = 0
-                   && Deadline.expired ~now:(Unix.gettimeofday ()) deadline
+                 if Deadline.expired ~now:(Unix.gettimeofday ()) deadline
                  then begin
                    expired := true;
                    raise Exit
@@ -408,10 +271,10 @@ let add_points b points =
 let render_sweep_into b s points =
   Buffer.clear b;
   Buffer.add_string b {|{"schema":"wavefront-sweep/v1","app":|};
-  add_json_string b s.base.App_params.name;
+  Json.add_string b s.base.app.App_params.name;
   Buffer.add_string b {|,"platform":|};
-  add_json_string b s.s_platform.Loggp.Params.name;
-  Printf.bprintf b {|,"cores_per_node":%d,"points":%d,"evaluated":|} s.s_cpn
+  Json.add_string b s.base.platform.Loggp.Params.name;
+  Printf.bprintf b {|,"cores_per_node":%d,"points":%d,"evaluated":|} s.base.cpn
     (sweep_points s);
   add_points b points;
   Buffer.add_string b {|,"frontier":|};

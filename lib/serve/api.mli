@@ -3,6 +3,10 @@
 
     Malformed input is an [Error] carrying a client-facing message (the
     server turns it into a 400); nothing here raises on hostile bodies.
+    The ["app"] and ["machine"] members of both request shapes are parsed
+    by {!Apps.Scenario.of_json} — the app dispatch, platform table and
+    range checks the CLI uses too — so the two front ends accept the same
+    inputs and refuse a bad one with the same message.
     Responses are serialized into a caller-owned [Buffer.t] so the
     per-request hot path ({!predict_into}: parse → {!Plugplay.Eval.run}
     → serialize) reuses one buffer per worker — the [serve-predict]
@@ -30,10 +34,9 @@
 
 type predict = {
   app : Wavefront_core.App_params.t;
-  platform : Loggp.Params.t;  (** already specialized to [cpn] *)
   cfg : Wavefront_core.Plugplay.config;
-  cores : int;
-  cpn : int;
+      (** platform (specialized to the request's cores per node), node
+          rectangle and processor grid *)
   validate : bool;  (** caller asked for batched-engine cross-validation *)
 }
 
@@ -95,15 +98,12 @@ type point = {
 }
 
 val run_sweep :
-  ?check_every:int ->
-  deadline:Deadline.t ->
-  sweep ->
-  [ `Done of point list | `Expired of int ]
-(** Evaluate every point, checking the deadline every [check_every]
-    points (default 16) — the cooperative-cancellation checkpoint, so a
-    sweep overruns its deadline by at most one checkpoint interval.
-    [`Expired n] reports how many points were evaluated before giving
-    up (the server answers 504). *)
+  deadline:Deadline.t -> sweep -> [ `Done of point list | `Expired of int ]
+(** Evaluate every point, checking the deadline by wall clock before
+    each one — the cooperative-cancellation checkpoint, so a sweep
+    overruns its deadline by at most one point. [`Expired n] reports how
+    many points were evaluated before giving up (the server answers
+    504). *)
 
 val pareto : point list -> point list
 (** The (cores, total) Pareto frontier: cheapest total at each core

@@ -13,7 +13,17 @@
 
    Core counts that are not powers of two are handled by skipping the
    exchanges whose partner index falls outside the grid; this matches the
-   ceiling-stage-count behaviour of {!Loggp.Allreduce.time}. *)
+   ceiling-stage-count behaviour of {!Loggp.Allreduce.time}.
+
+   Holding the token across the blocking off-node exchange needs every
+   node to be whole. When the node rectangle does not divide the grid,
+   the edge nodes hold fewer cores, the node-major index mixes node
+   sizes, and one node's cores meet cores of different nodes in the same
+   stage; ranks then reach the engines in different orders, and two
+   nodes can each hold their engine while waiting on a partner queued
+   behind the other's. On such grids every stage holds the token just
+   for the send, as the on-chip stages do — no process waits while
+   holding it, so no cycle can form. *)
 
 type ctx = {
   machine : Machine.t;
@@ -21,6 +31,7 @@ type ctx = {
   index : int array;  (* rank -> recursive-doubling index *)
   stages : int;
   tokens : Resource.t array;  (* per-node communication engine *)
+  whole_nodes : bool;  (* the node rectangle divides the grid *)
 }
 
 let ctx engine machine =
@@ -42,6 +53,9 @@ let ctx engine machine =
     stages = Loggp.Allreduce.ceil_log2 p;
     tokens =
       Array.init (Machine.node_count machine) (fun _ -> Resource.create engine);
+    whole_nodes =
+      machine.pgrid.cols mod machine.cmp.cx = 0
+      && machine.pgrid.rows mod machine.cmp.cy = 0;
   }
 
 (* The per-rank participation in one all-reduce; call from the rank's
@@ -55,10 +69,10 @@ let allreduce ctx mpi ~rank ~msg_size =
     if partner_idx < p then begin
       let partner = ctx.perm.(partner_idx) in
       match Machine.locality ctx.machine ~src:rank ~dst:partner with
-      | Off_node ->
+      | Off_node when ctx.whole_nodes ->
           Resource.with_resource token (fun () ->
               Mpi_sim.sendrecv mpi ~self:rank ~other:partner ~size:msg_size)
-      | On_chip ->
+      | Off_node | On_chip ->
           Resource.with_resource token (fun () ->
               Mpi_sim.send mpi ~src:rank ~dst:partner ~size:msg_size);
           Mpi_sim.recv mpi ~dst:rank ~src:partner ~size:msg_size

@@ -228,6 +228,36 @@ let test_sweep_deadline_checkpoints () =
   | `Done pts -> Alcotest.(check int) "all points" 64 (List.length pts)
   | `Expired _ -> Alcotest.fail "unbounded sweep expired"
 
+(* The deadline is checked by wall clock before every point, so a short
+   sweep cannot outrun it: 16 points on a 512x512 grid, with a budget
+   shorter than two points, stop after the first point or two. *)
+let test_sweep_deadline_every_point () =
+  let sweep ~htile ~k =
+    let body =
+      Printf.sprintf
+        {|{"app":{"name":"sweep3d","nx":1024,"ny":1024,"nz":64},"machine":{"platform":"xt4","cores_per_node":2},"htile":%s,"grids":[[512,512]],"k":%s}|}
+        htile k
+    in
+    match Serve.Api.parse_sweep body with
+    | Ok s -> s
+    | Error m -> Alcotest.fail m
+  in
+  let t0 = Unix.gettimeofday () in
+  (match Serve.Api.run_sweep ~deadline:Serve.Deadline.none
+           (sweep ~htile:"[1]" ~k:"[0]") with
+  | `Done [ _ ] -> ()
+  | _ -> Alcotest.fail "one-point sweep");
+  let point = Unix.gettimeofday () -. t0 in
+  let s = sweep ~htile:"[1,2,3,4]" ~k:"[0,4,8,16]" in
+  Alcotest.(check int) "point count" 16 (Serve.Api.sweep_points s);
+  let deadline = Unix.gettimeofday () +. (1.5 *. point) in
+  match Serve.Api.run_sweep ~deadline s with
+  | `Expired n when n >= 1 && n < 16 -> ()
+  | `Expired n -> Alcotest.failf "expired after %d of 16 points" n
+  | `Done _ ->
+      Alcotest.failf "a %.0f ms budget let all 16 points run"
+        (1500.0 *. point)
+
 let test_pareto_frontier () =
   let s =
     match Serve.Api.parse_sweep (sweep_req ~points:16) with
@@ -631,6 +661,8 @@ let suite =
         Alcotest.test_case "edge budgets" `Quick test_deadline_edges;
         Alcotest.test_case "sweep checkpoints bound the overrun" `Quick
           test_sweep_deadline_checkpoints;
+        Alcotest.test_case "short sweeps check the deadline every point"
+          `Quick test_sweep_deadline_every_point;
         Alcotest.test_case "pareto frontier" `Quick test_pareto_frontier;
       ] );
     ( "serve.http",

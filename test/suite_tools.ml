@@ -1,5 +1,6 @@
-(* Tests for the tooling around the model: spec files, the explanation
-   worksheet, and sensitivity analysis. *)
+(* Tests for the tooling around the model: spec files, the scenario the
+   CLI and the HTTP API share, the explanation worksheet, and sensitivity
+   analysis. *)
 
 open Wavefront_core
 
@@ -196,6 +197,116 @@ let test_analyze_covers_all_inputs () =
         (Float.is_finite r.elasticity))
     rows
 
+(* --- One scenario for the CLI, the HTTP API and the ledger --- *)
+
+(* Under `dune runtest` the binary sits next to the test dir; under
+   `dune exec` from the workspace root it sits in _build. *)
+let main_exe () =
+  List.find_opt Sys.file_exists
+    [ "../bin/main.exe"; "_build/default/bin/main.exe" ]
+
+let with_temp f =
+  let path = Filename.temp_file "wavefront_tools" ".out" in
+  Fun.protect ~finally:(fun () -> Sys.remove path) (fun () -> f path)
+
+let read_file path = In_channel.with_open_text path In_channel.input_all
+
+let test_config_hash_covers_every_input () =
+  match main_exe () with
+  | None -> ()
+  | Some exe ->
+      with_temp @@ fun ledger ->
+      let predict args =
+        Alcotest.(check int) ("predict " ^ args) 0
+          (Sys.command
+             (Printf.sprintf "%s predict -p 256 %s --ledger %s >/dev/null" exe
+                args (Filename.quote ledger)))
+      in
+      let runs =
+        [ ""; "--htile 8"; "--wg 3"; "--iterations 5"; "--htile 8 --wg 3" ]
+      in
+      List.iter predict runs;
+      predict "";
+      let hashes =
+        match Obs.Ledger.load ~path:ledger () with
+        | Ok (records, 0) ->
+            List.map (fun (r : Obs.Ledger.t) -> r.config_hash) records
+        | Ok (_, n) -> Alcotest.failf "%d malformed ledger lines" n
+        | Error m -> Alcotest.fail m
+      in
+      let distinct = List.sort_uniq compare hashes in
+      Alcotest.(check int) "one hash per distinct scenario"
+        (List.length runs) (List.length distinct);
+      Alcotest.(check string) "identical runs share a hash" (List.hd hashes)
+        (List.nth hashes (List.length runs))
+
+let test_cli_and_api_build_one_scenario () =
+  let cli =
+    match
+      Apps.Scenario.v ~htile:2.0 ~wg:0.75 ~iterations:3 ~app:"chimaera"
+        ~nx:96 ~ny:64 ~nz:48 ~platform:"red_storm" ~cores:384 ~cpn:4 ()
+    with
+    | Ok sc -> sc
+    | Error m -> Alcotest.fail m
+  in
+  let body =
+    {|{"app":{"name":"chimaera","nx":96,"ny":64,"nz":48,"wg":0.75,"htile":2,"iterations":3},"machine":{"platform":"red_storm","cores":384,"cores_per_node":4}}|}
+  in
+  let api =
+    match Apps.Scenario.of_json `Predict (Obs.Json.of_string body) with
+    | Ok sc -> sc
+    | Error m -> Alcotest.fail m
+  in
+  Alcotest.(check bool) "equal scenarios" true (cli = api);
+  Alcotest.(check string) "equal digests" (Apps.Scenario.digest cli)
+    (Apps.Scenario.digest api);
+  let other = { cli with cores = 512 } in
+  Alcotest.(check bool) "the digest moves with the cores" true
+    (Apps.Scenario.digest other <> Apps.Scenario.digest cli);
+  let served =
+    match Serve.Api.parse_predict body with
+    | Ok p -> (Plugplay.iteration p.app p.cfg).t_iteration
+    | Error m -> Alcotest.fail m
+  in
+  Alcotest.(check (float 0.0)) "bit-equal t_iteration"
+    (Plugplay.iteration cli.app (Apps.Scenario.config cli)).t_iteration served
+
+let test_cli_refuses_with_the_api_message () =
+  let api_error ~app ~machine =
+    let body =
+      Printf.sprintf
+        {|{"app":{"name":"sweep3d",%s},"machine":{"platform":"xt4",%s}}|} app
+        machine
+    in
+    match Serve.Api.parse_predict body with
+    | Ok _ -> Alcotest.failf "API accepted %s" body
+    | Error m -> m
+  in
+  let cube = {|"nx":240,"ny":240,"nz":240|} in
+  match main_exe () with
+  | None -> ()
+  | Some exe ->
+      List.iter
+        (fun (args, app, machine) ->
+          with_temp @@ fun err ->
+          let status =
+            Sys.command
+              (Printf.sprintf "%s predict %s --no-ledger >/dev/null 2>%s" exe
+                 args (Filename.quote err))
+          in
+          Alcotest.(check int) (args ^ " exits 2") 2 status;
+          Alcotest.(check string)
+            (args ^ " says what the API says")
+            ("wavefront: " ^ api_error ~app ~machine ^ "\n")
+            (read_file err))
+        [
+          ("-p 0", cube, {|"cores":0,"cores_per_node":2|});
+          ( "-g 0",
+            {|"nx":0,"ny":0,"nz":0|},
+            {|"cores":1024,"cores_per_node":2|} );
+          ("--cores-per-node 99", cube, {|"cores":1024,"cores_per_node":99|});
+        ]
+
 let suite =
   [
     ( "tools.spec",
@@ -208,6 +319,15 @@ let suite =
         Alcotest.test_case "schedule presets" `Quick test_spec_schedule;
         Alcotest.test_case "allreduce message size" `Quick
           test_spec_allreduce_bytes;
+      ] );
+    ( "tools.scenario",
+      [
+        Alcotest.test_case "config hash covers htile, wg and iterations"
+          `Quick test_config_hash_covers_every_input;
+        Alcotest.test_case "CLI and API build one scenario" `Quick
+          test_cli_and_api_build_one_scenario;
+        Alcotest.test_case "CLI refuses bad ranges with the API message"
+          `Quick test_cli_refuses_with_the_api_message;
       ] );
     ( "tools.explain",
       [ Alcotest.test_case "worksheet renders" `Quick test_worksheet_renders ]
