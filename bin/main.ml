@@ -375,7 +375,7 @@ let simulate (sc, spec) engine no_bus domains max_ranks tl_json tl_csv ctx =
           ("events", float_of_int o.events) ]
   | Batched ->
       let costs =
-        Wrun.Costs.loggp ~model_bus:(not no_bus) ~cmp sc.platform pg app
+        Wrun.Costs.loggp ~model_bus:(not no_bus) ~cmp cfg.platform pg app
       in
       Fmt.pr "simulating %s on %a (wave-batched, %d domain(s))...@." app.name
         Wgrid.Proc_grid.pp pg domains;
@@ -1196,14 +1196,13 @@ let alloc_targets =
         "Api.predict_into: the daemon's parse -> Eval.run -> serialize hot \
          path (ratchet, not zero: JSON parse and response render allocate a \
          bounded constant)";
-      (* Measured at 211,424 minor words per request on this body at the
-         default 4096-core grid, ~51 words/core: the parse and the
-         response render are small constants, the bulk is the
-         per-request Eval.create hoisting its O(cores) communication
-         tables. The ratchet pins 256k so only a real regression trips
-         it — quadratic table growth or a per-column response copy is
-         tens of millions. *)
-      budget = 256_000.0;
+      (* Measured at ~3,270 minor words per request on this body at the
+         default 4096-core grid: the JSON parse, the response render and
+         Eval.create's O(cols + rows) tables (64 + 64 here). Nothing in
+         it grows with the core count, so the ratchet pins 8,192: a
+         per-cell allocation would cost tens of words per core, over
+         100k words here. *)
+      budget = 8_192.0;
       titerations = 1000;
       prepare =
         (fun ~cores ->

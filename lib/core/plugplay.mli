@@ -46,6 +46,8 @@ type result = {
 }
 
 val iteration : App_params.t -> config -> result
+(** [Eval.create] + [Eval.run] + [Eval.result]: the model has one
+    implementation, {!Eval}. *)
 
 val time_per_iteration : App_params.t -> config -> float
 (** Just the (r5) total of {!iteration}. *)
@@ -78,15 +80,17 @@ val components : App_params.t -> config -> components
 val zero_comm_platform : Loggp.Params.t -> Loggp.Params.t
 val pp_result : result Fmt.t
 
-(** The allocation-free evaluator for the serving path: [create] hoists
-    every configuration-dependent term ((r1) work, the per-column /
-    per-row (r2b) communication tables, the constant (r4)/(r5) pieces)
-    and preallocates the StartP scratch; [run] then re-executes the full
-    pipeline-fill recurrence with zero minor-heap allocation per call
-    (the telemetry gate pins it at exactly 0 words). [run] agrees with
-    {!iteration} to the last bit; results are read through the
-    accessors after a [run]. Not synchronized: one evaluator per
-    domain. *)
+(** The model's one evaluator, and the serving path's allocation-free
+    one: [create] derives every configuration-dependent term ((r1) work,
+    the message sizes, the per-column / per-row (r2b) communication
+    tables, (r4) and the non-wavefront term) and preallocates one StartP
+    row; [run] then re-executes the full pipeline-fill recurrence with
+    zero minor-heap allocation per call (the telemetry gate pins it at
+    exactly 0 words). {!iteration} is [create] + [run] + [result]; the
+    tests check [run] bit for bit against an independent per-cell fill
+    oracle that probes the node rectangle for every link. Results are
+    read through the accessors after a [run]. Not synchronized: one
+    evaluator per domain. *)
 module Eval : sig
   type t
 

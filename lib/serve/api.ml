@@ -183,12 +183,14 @@ type point = {
   total : float;
 }
 
-let eval_point s ~htile ~cols ~rows ~k =
-  let app = App_params.with_htile s.base.app htile in
+(* The model half of a point: one (r1a)-(r5) evaluation per (htile,
+   grid), shared by every checkpoint interval. *)
+let eval_config s app ~cols ~rows =
   let cores = cols * rows in
   let pgrid = Some (Wgrid.Proc_grid.v ~cols ~rows) in
-  let cfg = Apps.Scenario.config { s.base with cores; pgrid } in
-  let r = Plugplay.iteration app cfg in
+  Plugplay.iteration app (Apps.Scenario.config { s.base with cores; pgrid })
+
+let eval_point s app (r : Plugplay.result) ~htile ~cols ~rows ~k =
   (* Per-iteration resilience overhead over one iteration's waves, the
      same accounting as the resilience subcommand. *)
   let policy =
@@ -196,8 +198,7 @@ let eval_point s ~htile ~cols ~rows ~k =
   in
   let term =
     Perturb.Recover.expected_term policy ~waves:(App_params.waves app)
-      ~wave_cost:(r.Plugplay.w +. r.Plugplay.w_pre)
-      ~failures:s.failures
+      ~wave_cost:(r.w +. r.w_pre) ~failures:s.failures
   in
   let overhead = term.Perturb.Recover.total in
   {
@@ -205,10 +206,10 @@ let eval_point s ~htile ~cols ~rows ~k =
     cols;
     rows;
     k;
-    cores;
-    t_iter = r.Plugplay.t_iteration;
+    cores = cols * rows;
+    t_iter = r.t_iteration;
     overhead;
-    total = r.Plugplay.t_iteration +. overhead;
+    total = r.t_iteration +. overhead;
   }
 
 let run_sweep ~deadline s =
@@ -218,8 +219,11 @@ let run_sweep ~deadline s =
   (try
      List.iter
        (fun htile ->
+         let app = App_params.with_htile s.base.app htile in
          List.iter
            (fun (cols, rows) ->
+             (* forced after the first point's deadline check *)
+             let model = lazy (eval_config s app ~cols ~rows) in
              List.iter
                (fun k ->
                  if Deadline.expired ~now:(Unix.gettimeofday ()) deadline
@@ -227,7 +231,9 @@ let run_sweep ~deadline s =
                    expired := true;
                    raise Exit
                  end;
-                 acc := eval_point s ~htile ~cols ~rows ~k :: !acc;
+                 acc :=
+                   eval_point s app (Lazy.force model) ~htile ~cols ~rows ~k
+                   :: !acc;
                  incr evaluated)
                s.ks)
            s.grids)

@@ -101,9 +101,10 @@ val run_sweep :
   deadline:Deadline.t -> sweep -> [ `Done of point list | `Expired of int ]
 (** Evaluate every point, checking the deadline by wall clock before
     each one — the cooperative-cancellation checkpoint, so a sweep
-    overruns its deadline by at most one point. [`Expired n] reports how
-    many points were evaluated before giving up (the server answers
-    504). *)
+    overruns its deadline by at most one point. The model is evaluated
+    once per (htile, grid) and reused for every [k]. [`Expired n]
+    reports how many points were evaluated before giving up (the server
+    answers 504). *)
 
 val pareto : point list -> point list
 (** The (cores, total) Pareto frontier: cheapest total at each core

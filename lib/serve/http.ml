@@ -17,6 +17,11 @@ type read_error =
 let header r name =
   List.assoc_opt (String.lowercase_ascii name) r.headers
 
+type scratch = { head : Bytes.t; junk : Bytes.t }
+
+let scratch () =
+  { head = Bytes.create max_header_bytes; junk = Bytes.create 4096 }
+
 (* Wait until [fd] is readable or the deadline passes. *)
 let wait_readable fd ~deadline =
   let remaining = Deadline.remaining_s ~now:(Unix.gettimeofday ()) deadline in
@@ -48,9 +53,11 @@ let rec read_some fd buf pos len ~deadline =
 
 (* Accumulate until the header terminator CRLFCRLF (or bare LFLF) shows
    up, never keeping more than [max_header_bytes]. Returns the raw
-   header block and any body bytes that arrived with it. *)
-let read_header_block fd ~deadline =
-  let buf = Bytes.create max_header_bytes in
+   header block and any body bytes that arrived with it. Only the
+   [filled] prefix of the scratch buffer is ever read, so bytes left
+   over from an earlier, longer request are never seen. *)
+let read_header_block ~scratch fd ~deadline =
+  let buf = scratch.head in
   let filled = ref 0 in
   let find_terminator () =
     (* Search for \r\n\r\n or \n\n in [0, filled). Returns end-of-header
@@ -124,8 +131,8 @@ let parse_request_line line =
       else Ok (String.uppercase_ascii meth, path, version)
   | _ -> Error (Bad_request "malformed request line")
 
-let read_request ?(max_body = 1024 * 1024) ~deadline fd =
-  match read_header_block fd ~deadline with
+let read_request ?(max_body = 1024 * 1024) ~scratch ~deadline fd =
+  match read_header_block ~scratch fd ~deadline with
   | Error _ as e -> e
   | Ok (block, prefix) -> (
       match split_lines block with
@@ -223,7 +230,7 @@ let write_response ?(headers = []) ?(body = "") fd status =
   in
   write_all 0
 
-let discard_close fd =
+let discard_close ~scratch fd =
   (* Closing with unread bytes in the receive buffer makes the kernel
      answer with RST, which can destroy the response we just wrote
      before the client reads it (shed 429s, refused 413s). Drain
@@ -231,7 +238,7 @@ let discard_close fd =
      close degrades to an ordinary FIN. *)
   (try
      Unix.set_nonblock fd;
-     let junk = Bytes.create 4096 in
+     let junk = scratch.junk in
      let rec drain budget =
        if budget > 0 then
          match Unix.read fd junk 0 (Bytes.length junk) with

@@ -36,8 +36,17 @@ type read_error =
 val header : request -> string -> string option
 (** Case-insensitive header lookup. *)
 
+type scratch
+(** A connection handler's reusable read buffers: one header block of
+    {!max_header_bytes} and one drain buffer. Every connection a worker
+    serves reads into the same two, instead of allocating them on the
+    major heap per request. Not synchronized: one per domain. *)
+
+val scratch : unit -> scratch
+
 val read_request :
   ?max_body:int ->
+  scratch:scratch ->
   deadline:float ->
   Unix.file_descr ->
   (request, read_error) result
@@ -61,7 +70,7 @@ val write_response :
     ([EPIPE]/reset) — the caller records the outcome either way and never
     raises. *)
 
-val discard_close : Unix.file_descr -> unit
+val discard_close : scratch:scratch -> Unix.file_descr -> unit
 (** Drain any request bytes that already arrived (never waiting for
     more), then close. Closing with unread input pending would make the
     kernel send RST instead of FIN, destroying an in-flight response —

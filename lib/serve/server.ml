@@ -2,7 +2,8 @@
    Bounded_queue of connections, [workers] worker domains popping it.
    The Obs.Metrics registry is not thread-safe, so one mutex guards
    every metric update and the scrape; everything per-request lives on
-   the worker's stack (one reusable response buffer per worker). *)
+   the worker's stack (one reusable response buffer and one pair of
+   {!Http.scratch} read buffers per worker). *)
 
 type config = {
   host : string;
@@ -296,13 +297,13 @@ let handle_request t ~worker ~buf conn req =
       respond_error fd 404 "no such endpoint";
       Client_error
 
-let handle_conn t ~worker ~buf conn =
+let handle_conn t ~worker ~buf ~scratch conn =
   let header_deadline =
     Deadline.of_budget_ms ~now:(Unix.gettimeofday ()) t.cfg.header_timeout_ms
   in
   match
-    Http.read_request ~max_body:t.cfg.max_body ~deadline:header_deadline
-      conn.fd
+    Http.read_request ~max_body:t.cfg.max_body ~scratch
+      ~deadline:header_deadline conn.fd
   with
   | Ok req -> (
       match handle_request t ~worker ~buf conn req with
@@ -323,6 +324,7 @@ let handle_conn t ~worker ~buf conn =
 
 let worker_loop t ~worker =
   let buf = Buffer.create 4096 in
+  let scratch = Http.scratch () in
   let rec loop () =
     match Bounded_queue.pop t.queue with
     | None -> ()  (* queue closed and drained: exit *)
@@ -330,9 +332,10 @@ let worker_loop t ~worker =
         with_stats t.stats (fun () ->
             t.stats.live_inflight <- t.stats.live_inflight + 1);
         let outcome =
-          try handle_conn t ~worker ~buf conn with _ -> Server_error
+          try handle_conn t ~worker ~buf ~scratch conn
+          with _ -> Server_error
         in
-        Http.discard_close conn.fd;
+        Http.discard_close ~scratch conn.fd;
         with_stats t.stats (fun () ->
             t.stats.live_inflight <- t.stats.live_inflight - 1);
         record_outcome t ~admitted_at:conn.admitted_at outcome;
@@ -343,6 +346,7 @@ let worker_loop t ~worker =
 (* --- accept loop ----------------------------------------------------- *)
 
 let accept_loop t =
+  let scratch = Http.scratch () in
   let rec loop () =
     if Atomic.get t.stop_flag then ()
     else begin
@@ -364,13 +368,13 @@ let accept_loop t =
                     (Http.write_response
                        ~headers:(("Retry-After", "1") :: json_headers)
                        ~body:{|{"error":"server overloaded"}|} fd 429);
-                  Http.discard_close fd;
+                  Http.discard_close ~scratch fd;
                   record_outcome t ~admitted_at Shed
               | `Closed ->
                   ignore
                     (Http.write_response ~headers:json_headers
                        ~body:{|{"error":"draining"}|} fd 503);
-                  Http.discard_close fd;
+                  Http.discard_close ~scratch fd;
                   record_outcome t ~admitted_at Aborted))
       | exception Unix.Unix_error (Unix.EINTR, _, _) -> ());
       loop ()

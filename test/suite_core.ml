@@ -403,10 +403,11 @@ let prop_components_consistent =
       && c.communication >= 0.0
       && Float.abs (c.total -. (c.computation +. c.communication)) < 1e-6)
 
-(* The (r2a)/(r2b) oracle: the pipeline-fill recurrence evaluated cell by
-   cell, each cell probing [Cmp.link_locality] for its own links — none of
-   the per-column / per-row hoisting [Plugplay.Eval] relies on. Returns
-   (t_diagfill, t_fullfill). *)
+(* The (r2a)/(r2b) oracle, and the only per-cell fill in the tree: the
+   pipeline-fill recurrence evaluated cell by cell over the full StartP
+   grid, each cell probing [Cmp.link_locality] for its own links — none
+   of the per-column / per-row hoisting or the one-row scratch
+   [Plugplay.Eval] relies on. Returns (t_diagfill, t_fullfill). *)
 let fill_oracle (cfg : Plugplay.config) ~w ~w_pre ~msg_ew ~msg_ns =
   let { Proc_grid.cols; rows } = cfg.pgrid in
   let start = Array.make (cols * rows) 0.0 in
@@ -479,12 +480,13 @@ let prop_fill_matches_oracle =
     ~name:"iteration and Eval match the per-cell fill oracle bit for bit"
     (QCheck.make ~print gen)
     (fun (platform, cpn, (cols, rows), sync_terms, contention, app) ->
-      let cfg =
+      let cfg_of ~cols ~rows =
         Plugplay.config ~cmp:(Cmp.of_cores_per_node cpn)
           ~pgrid:(Proc_grid.v ~cols ~rows) ~sync_terms ~contention
           (Loggp.Params.with_cores_per_node platform cpn)
           ~cores:(cols * rows)
       in
+      let cfg = cfg_of ~cols ~rows in
       let r = Plugplay.iteration app cfg in
       let diag, full =
         fill_oracle cfg ~w:r.w ~w_pre:r.w_pre ~msg_ew:r.msg_ew
@@ -497,14 +499,26 @@ let prop_fill_matches_oracle =
         +. (float_of_int c.nsweeps *. r.t_stack)
         +. r.t_nonwavefront
       in
+      (* Each evaluator reuses one StartP row: run it twice, with an
+         evaluator for another grid run in between, and require the
+         oracle's bits every time. *)
       let e = Plugplay.Eval.create app cfg in
+      let other =
+        Plugplay.Eval.create app (cfg_of ~cols:(rows + 1) ~rows:(cols + 2))
+      in
+      let matches_oracle () =
+        bits_equal diag (Plugplay.Eval.t_diagfill e)
+        && bits_equal full (Plugplay.Eval.t_fullfill e)
+        && bits_equal t_iteration (Plugplay.Eval.t_iteration e)
+      in
+      Plugplay.Eval.run e;
+      let first = matches_oracle () in
+      Plugplay.Eval.run other;
       Plugplay.Eval.run e;
       bits_equal diag r.t_diagfill
       && bits_equal full r.t_fullfill
       && bits_equal t_iteration r.t_iteration
-      && bits_equal diag (Plugplay.Eval.t_diagfill e)
-      && bits_equal full (Plugplay.Eval.t_fullfill e)
-      && bits_equal t_iteration (Plugplay.Eval.t_iteration e))
+      && first && matches_oracle ())
 
 let props =
   List.map QCheck_alcotest.to_alcotest

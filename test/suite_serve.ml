@@ -423,6 +423,44 @@ let test_defense_matrix () =
   Alcotest.(check (option int)) "slow-loris 408" (Some 408)
     (status_of (raw_request ~port "POST /v1/predict HTTP/1.1\r\nHo"))
 
+(* Each worker reads every request into the same header buffer. On a
+   one-worker daemon, a request carrying ~12 KB of padding and, last, a
+   zero deadline leaves those bytes behind; the short request after it
+   must see only its own headers (a leaked deadline would make it a 504)
+   and its own body, and be answered bit-exactly. A header block over
+   the 16 KB cap is still refused. *)
+let test_worker_buffer_reuse () =
+  let cfg = { Serve.Server.default_config with workers = 1 } in
+  with_server ~cfg @@ fun port ->
+  let padding =
+    String.concat ""
+      (List.init 120 (fun i ->
+           Printf.sprintf "X-Pad-%03d: %s\r\n" i (String.make 88 'p')))
+  in
+  Alcotest.(check (option int)) "padded zero-deadline sweep 504" (Some 504)
+    (status_of
+       (post ~port ~headers:(padding ^ "X-Deadline-Ms: 0\r\n") "/v1/sweep"
+          (sweep_req ~points:16)));
+  let body = predict_body ~cores:256 ~validate:false in
+  let raw = post ~port "/v1/predict" body in
+  Alcotest.(check (option int)) "short predict after it 200" (Some 200)
+    (status_of raw);
+  let expected = Buffer.create 4096 in
+  (match Serve.Api.predict_into expected body with
+  | Ok () -> ()
+  | Error m -> Alcotest.fail m);
+  Alcotest.(check string) "answered bit-exactly" (Buffer.contents expected)
+    (body_of raw);
+  let oversized =
+    String.concat ""
+      (List.init 180 (fun i ->
+           Printf.sprintf "X-Pad-%03d: %s\r\n" i (String.make 88 'p')))
+  in
+  Alcotest.(check bool) "header block over 16 KB" true
+    (String.length oversized > Serve.Http.max_header_bytes);
+  Alcotest.(check (option int)) "oversized header block 413" (Some 413)
+    (status_of (post ~port ~headers:oversized "/v1/predict" body))
+
 let test_shedding_429 () =
   (* One worker and a one-slot queue: a slow-loris pins the worker for
      its 1 s header budget, the next connection fills the queue, the
@@ -672,6 +710,8 @@ let suite =
           test_predict_golden;
         Alcotest.test_case "defense matrix: 400/413/504/408" `Quick
           test_defense_matrix;
+        Alcotest.test_case "worker read buffers are reused cleanly" `Quick
+          test_worker_buffer_reuse;
         Alcotest.test_case "admission queue sheds with 429" `Quick
           test_shedding_429;
         Alcotest.test_case "breaker degrades and recovers" `Quick

@@ -45,9 +45,9 @@ let cfg_of ~cores ~cpn =
   let platform = Loggp.Params.with_cores_per_node Loggp.Params.xt4 cpn in
   Plugplay.config ~cmp:(Wgrid.Cmp.of_cores_per_node cpn) platform ~cores
 
-(* [Eval.run] re-executes the full pipeline-fill recurrence; it must
-   agree with the allocating [iteration] to the last bit on every
-   field, not approximately. *)
+(* [iteration] is a fresh evaluator's [create] + [run] + [result]; an
+   evaluator built and run by hand must agree with it to the last bit on
+   every field, not approximately. *)
 let test_eval_matches_iteration () =
   List.iter
     (fun (name, app, cores, cpn) ->
@@ -103,6 +103,35 @@ let test_eval_zero_alloc () =
         (name ^ ": Eval.run allocates 0 minor words")
         0.0 a.minor_words_per_iter)
     eval_cases
+
+(* A served predict allocates nothing per core: Eval.create's tables are
+   O(cols + rows) and the fill allocates nothing, so going from 4096 to
+   65,536 cores adds well under one minor word per added core. A
+   per-cell allocation anywhere on the path costs tens of words per
+   core. *)
+let test_predict_alloc_flat_in_cores () =
+  let words cores =
+    let body =
+      Printf.sprintf
+        {|{"app":{"name":"sweep3d","nx":256,"ny":256,"nz":256},"machine":{"platform":"xt4","cores":%d,"cores_per_node":2}}|}
+        cores
+    in
+    let buf = Buffer.create 4096 in
+    let a =
+      Obs.Runtime.measure_alloc ~iterations:20 (fun () ->
+          match Serve.Api.predict_into buf body with
+          | Ok () -> ()
+          | Error m -> failwith m)
+    in
+    a.minor_words_per_iter
+  in
+  let small = words 4096 and large = words 65_536 in
+  let per_core = (large -. small) /. float_of_int (65_536 - 4096) in
+  Alcotest.(check bool)
+    (Printf.sprintf
+       "%.3f words per added core (4096 cores: %.0f, 65536 cores: %.0f)"
+       per_core small large)
+    true (per_core < 1.0)
 
 (* --- Batched.Steady: the engine's steady-state unit of work --- *)
 
@@ -293,6 +322,8 @@ let suite =
           test_eval_matches_iteration;
         Alcotest.test_case "rerun stability" `Quick test_eval_rerun_stable;
         Alcotest.test_case "zero-alloc contract" `Quick test_eval_zero_alloc;
+        Alcotest.test_case "served predict allocates nothing per core"
+          `Quick test_predict_alloc_flat_in_cores;
       ] );
     ( "telemetry.steady",
       [

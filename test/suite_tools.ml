@@ -307,6 +307,51 @@ let test_cli_refuses_with_the_api_message () =
           ("--cores-per-node 99", cube, {|"cores":1024,"cores_per_node":99|});
         ]
 
+(* The batched `simulate` report prices the all-reduce epilogue on the
+   platform specialized to --cores-per-node, the one the model line
+   beside it uses, not on the platform table's entry (2 cores per node
+   on the XT4). At cpn 1 the two disagree, so the ledger's per-iteration
+   time must equal an in-process run on the specialized platform. *)
+let test_batched_simulate_uses_cpn_platform () =
+  match main_exe () with
+  | None -> ()
+  | Some exe ->
+      with_temp @@ fun ledger ->
+      Alcotest.(check int) "simulate exits 0" 0
+        (Sys.command
+           (Printf.sprintf
+              "%s simulate -a sweep3d -g 32 -p 256 --engine=batched \
+               --cores-per-node 1 --ledger %s >/dev/null"
+              exe (Filename.quote ledger)));
+      let logged =
+        match Obs.Ledger.load ~path:ledger () with
+        | Ok ([ r ], 0) -> List.assoc "per_iteration" r.Obs.Ledger.metrics
+        | Ok _ -> Alcotest.fail "expected one well-formed ledger record"
+        | Error m -> Alcotest.fail m
+      in
+      let sc =
+        match
+          Apps.Scenario.v ~app:"sweep3d" ~nx:32 ~ny:32 ~nz:32 ~platform:"xt4"
+            ~cores:256 ~cpn:1 ()
+        with
+        | Ok sc -> sc
+        | Error m -> Alcotest.fail m
+      in
+      let cfg = Apps.Scenario.config sc in
+      let per_iteration platform =
+        let costs =
+          Wrun.Costs.loggp ~model_bus:true ~cmp:cfg.cmp platform cfg.pgrid
+            sc.app
+        in
+        (Wrun.Batched.run ~costs cfg.pgrid sc.app).Wrun.Batched.per_iteration
+      in
+      let table_entry = per_iteration sc.platform in
+      let specialized = per_iteration cfg.platform in
+      Alcotest.(check bool) "the table entry prices it differently" true
+        (table_entry <> specialized);
+      Alcotest.(check (float 0.0)) "ledger per_iteration on the cpn-1 platform"
+        specialized logged
+
 let suite =
   [
     ( "tools.spec",
@@ -328,6 +373,8 @@ let suite =
           test_cli_and_api_build_one_scenario;
         Alcotest.test_case "CLI refuses bad ranges with the API message"
           `Quick test_cli_refuses_with_the_api_message;
+        Alcotest.test_case "batched simulate prices cores-per-node" `Quick
+          test_batched_simulate_uses_cpn_platform;
       ] );
     ( "tools.explain",
       [ Alcotest.test_case "worksheet renders" `Quick test_worksheet_renders ]
