@@ -1196,13 +1196,13 @@ let alloc_targets =
         "Api.predict_into: the daemon's parse -> Eval.run -> serialize hot \
          path (ratchet, not zero: JSON parse and response render allocate a \
          bounded constant)";
-      (* Measured at ~3,270 minor words per request on this body at the
-         default 4096-core grid: the JSON parse, the response render and
-         Eval.create's O(cols + rows) tables (64 + 64 here). Nothing in
-         it grows with the core count, so the ratchet pins 8,192: a
-         per-cell allocation would cost tens of words per core, over
-         100k words here. *)
-      budget = 8_192.0;
+      (* Measured at 1,295 minor words per request on this body at the
+         default 4096 cores and 1,294 at 2^20: the JSON parse, the
+         response render and Eval.create's per-period tables. Nothing in
+         it grows with the core count, so the ratchet pins 2,048:
+         probing the node rectangle once per column and row costs
+         ~28k words at 2^20 cores, a per-cell allocation far more. *)
+      budget = 2_048.0;
       titerations = 1000;
       prepare =
         (fun ~cores ->
@@ -1314,8 +1314,8 @@ let telemetry_cmd =
          & info [ "target" ] ~docv:"T"
              ~doc:
                "Target to measure (repeatable): predictor, batched-step, \
-                batched-run or control-alloc. Default: the three \
-                contractual targets; control-alloc is a deliberately \
+                batched-run, serve-predict or control-alloc. Default: \
+                every target but control-alloc, a deliberately \
                 allocating closure that proves the gate can fail.")
   in
   let cores =

@@ -82,15 +82,16 @@ val pp_result : result Fmt.t
 
 (** The model's one evaluator, and the serving path's allocation-free
     one: [create] derives every configuration-dependent term ((r1) work,
-    the message sizes, the per-column / per-row (r2b) communication
-    tables, (r4) and the non-wavefront term) and preallocates one StartP
-    row; [run] then re-executes the full pipeline-fill recurrence with
-    zero minor-heap allocation per call (the telemetry gate pins it at
-    exactly 0 words). {!iteration} is [create] + [run] + [result]; the
-    tests check [run] bit for bit against an independent per-cell fill
-    oracle that probes the node rectangle for every link. Results are
-    read through the accessors after a [run]. Not synchronized: one
-    evaluator per domain. *)
+    the message sizes, the per-period (r2b) link tables with their
+    counts, (r4) and the non-wavefront term); [run] then evaluates the
+    pipeline fills (r3a)/(r3b) exactly, from the periodicity of the node
+    rectangle, in O(Cx*Cy) time and with zero minor-heap allocation per
+    call (the telemetry gate pins it at exactly 0 words). Neither half
+    grows with the core count. {!iteration} is [create] + [run] +
+    [result]; the tests hold [run] to 4*(cols+rows)*eps relative of an
+    independent per-cell fill oracle that probes the node rectangle for
+    every link. Results are read through the accessors after a [run].
+    Not synchronized: one evaluator per domain. *)
 module Eval : sig
   type t
 

@@ -121,6 +121,17 @@ let all () =
         (let cfg = Plugplay.config xt4 ~cores:16384 in
          fun () -> ignore (Plugplay.iteration chimaera cfg));
     };
+    (* The model at a million cores: Sweep3D 256^3 on the XT4, 2 cores
+       per node. Its cost is set by the node rectangle, not the grid. *)
+    {
+      name = "model/iteration-P1M";
+      quick = true;
+      repeats = None;
+      f =
+        (let app = Apps.Sweep3d.params (Wgrid.Data_grid.cube 256) in
+         let cfg = Plugplay.config xt4 ~cores:1048576 in
+         fun () -> ignore (Plugplay.iteration app cfg));
+    };
     {
       name = "model/allreduce-eq9";
       quick = true;

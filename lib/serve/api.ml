@@ -101,7 +101,7 @@ let predict_into b body =
 
 (* --- /v1/sweep ------------------------------------------------------ *)
 
-let max_sweep_points = 4096
+let max_sweep_points = 16_384
 let max_point_cores = 1_048_576
 
 type sweep = {
@@ -212,7 +212,7 @@ let eval_point s app (r : Plugplay.result) ~htile ~cols ~rows ~k =
     total = r.t_iteration +. overhead;
   }
 
-let run_sweep ~deadline s =
+let run_sweep ?(clock = Unix.gettimeofday) ~deadline s =
   let acc = ref [] in
   let evaluated = ref 0 in
   let expired = ref false in
@@ -226,7 +226,7 @@ let run_sweep ~deadline s =
              let model = lazy (eval_config s app ~cols ~rows) in
              List.iter
                (fun k ->
-                 if Deadline.expired ~now:(Unix.gettimeofday ()) deadline
+                 if Deadline.expired ~now:(clock ()) deadline
                  then begin
                    expired := true;
                    raise Exit

@@ -74,8 +74,10 @@ val predict_into : Buffer.t -> string -> (unit, string) result
 (** {1 Sweep} *)
 
 val max_sweep_points : int
-(** 4096 — requests describing more points are refused (400), the
-    admission-control twin of the body-size cap. *)
+(** 16_384 — requests describing more points are refused (400), the
+    admission-control twin of the body-size cap. A point's model cost
+    does not grow with its core count, so the cap bounds the work of a
+    sweep at any grid size up to {!max_point_cores}. *)
 
 val max_point_cores : int
 (** 1_048_576 — per-point grid-size ceiling. *)
@@ -98,10 +100,15 @@ type point = {
 }
 
 val run_sweep :
-  deadline:Deadline.t -> sweep -> [ `Done of point list | `Expired of int ]
+  ?clock:(unit -> float) ->
+  deadline:Deadline.t ->
+  sweep ->
+  [ `Done of point list | `Expired of int ]
 (** Evaluate every point, checking the deadline by wall clock before
     each one — the cooperative-cancellation checkpoint, so a sweep
-    overruns its deadline by at most one point. The model is evaluated
+    overruns its deadline by at most one point. [clock] (default
+    [Unix.gettimeofday]) is read once per check; tests drive a fake
+    one. The model is evaluated
     once per (htile, grid) and reused for every [k]. [`Expired n]
     reports how many points were evaluated before giving up (the server
     answers 504). *)

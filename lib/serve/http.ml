@@ -55,48 +55,47 @@ let rec read_some fd buf pos len ~deadline =
    up, never keeping more than [max_header_bytes]. Returns the raw
    header block and any body bytes that arrived with it. Only the
    [filled] prefix of the scratch buffer is ever read, so bytes left
-   over from an earlier, longer request are never seen. *)
+   over from an earlier, longer request are never seen. Each scan
+   resumes three bytes before the previous fill ends (a terminator is at
+   most four bytes, so one that straddles two reads starts there at the
+   earliest), which keeps a header dribbled one byte per read linear,
+   not quadratic, in its length. *)
 let read_header_block ~scratch fd ~deadline =
   let buf = scratch.head in
   let filled = ref 0 in
-  let find_terminator () =
-    (* Search for \r\n\r\n or \n\n in [0, filled). Returns end-of-header
-       offset (index one past the terminator) or -1. *)
+  (* Search [i, filled) for \r\n\r\n or \n\n. Returns the end-of-header
+     offset (index one past the terminator) or -1. *)
+  let rec find_terminator i =
     let n = !filled in
-    let rec go i =
-      if i >= n then -1
-      else if
-        i + 3 < n
-        && Bytes.get buf i = '\r'
-        && Bytes.get buf (i + 1) = '\n'
-        && Bytes.get buf (i + 2) = '\r'
-        && Bytes.get buf (i + 3) = '\n'
-      then i + 4
-      else if i + 1 < n && Bytes.get buf i = '\n' && Bytes.get buf (i + 1) = '\n'
-      then i + 2
-      else go (i + 1)
-    in
-    go 0
+    if i >= n then -1
+    else if
+      i + 3 < n
+      && Bytes.get buf i = '\r'
+      && Bytes.get buf (i + 1) = '\n'
+      && Bytes.get buf (i + 2) = '\r'
+      && Bytes.get buf (i + 3) = '\n'
+    then i + 4
+    else if i + 1 < n && Bytes.get buf i = '\n' && Bytes.get buf (i + 1) = '\n'
+    then i + 2
+    else find_terminator (i + 1)
   in
-  let rec loop () =
-    match find_terminator () with
-    | stop ->
-        if stop >= 0 then
-          Ok
-            ( Bytes.sub_string buf 0 stop,
-              Bytes.sub_string buf stop (!filled - stop) )
-        else if !filled >= max_header_bytes then Error Too_large
-        else
-          (match
-             read_some fd buf !filled (max_header_bytes - !filled) ~deadline
-           with
-          | `Timeout -> Error Timeout
-          | `Closed -> Error Closed
-          | `Read n ->
-              filled := !filled + n;
-              loop ())
+  let rec loop from =
+    let stop = find_terminator from in
+    if stop >= 0 then
+      Ok
+        ( Bytes.sub_string buf 0 stop,
+          Bytes.sub_string buf stop (!filled - stop) )
+    else if !filled >= max_header_bytes then Error Too_large
+    else
+      match read_some fd buf !filled (max_header_bytes - !filled) ~deadline with
+      | `Timeout -> Error Timeout
+      | `Closed -> Error Closed
+      | `Read n ->
+          let from = max 0 (!filled - 3) in
+          filled := !filled + n;
+          loop from
   in
-  loop ()
+  loop 0
 
 let parse_headers lines =
   let parse acc line =

@@ -449,27 +449,64 @@ let fill_oracle (cfg : Plugplay.config) ~w ~w_pre ~msg_ew ~msg_ns =
 
 let bits_equal a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
 
+(* [Plugplay.Eval] sums the fill in another order than the oracle, and
+   the oracle itself rounds once per move along a path of cols + rows
+   moves, so the two agree to a tolerance that grows with the path:
+   |fast - oracle| <= 4 (cols + rows) eps |oracle|. *)
+let within_fill_tolerance ~cols ~rows ~oracle fast =
+  Float.abs (fast -. oracle)
+  <= 4.0 *. float_of_int (cols + rows) *. epsilon_float *. Float.abs oracle
+
+let fill_cfg ?(sync_terms = false) ?(contention = true) platform ~cpn ~cols
+    ~rows =
+  Plugplay.config ~cmp:(Cmp.of_cores_per_node cpn)
+    ~pgrid:(Proc_grid.v ~cols ~rows) ~sync_terms ~contention
+    (Loggp.Params.with_cores_per_node platform cpn)
+    ~cores:(cols * rows)
+
+(* The oracle's (Tdiagfill, Tfullfill, Titer) next to [r]'s, each within
+   the fill tolerance; [r.w] and friends do not depend on the fill. *)
+let fill_matches_oracle app (cfg : Plugplay.config) (r : Plugplay.result) =
+  let { Proc_grid.cols; rows } = cfg.pgrid in
+  let diag, full =
+    fill_oracle cfg ~w:r.w ~w_pre:r.w_pre ~msg_ew:r.msg_ew ~msg_ns:r.msg_ns
+  in
+  let c = App_params.counts app in
+  let t_iteration =
+    (float_of_int c.ndiag *. diag)
+    +. (float_of_int c.nfull *. full)
+    +. (float_of_int c.nsweeps *. r.t_stack)
+    +. r.t_nonwavefront
+  in
+  within_fill_tolerance ~cols ~rows ~oracle:diag r.t_diagfill
+  && within_fill_tolerance ~cols ~rows ~oracle:full r.t_fullfill
+  && within_fill_tolerance ~cols ~rows ~oracle:t_iteration r.t_iteration
+
+let fill_apps =
+  [
+    Apps.Sweep3d.params (Data_grid.cube 48);
+    Apps.Lu.params (Data_grid.cube 48);
+    Apps.Chimaera.params (Data_grid.cube 48);
+    Apps.Sweep3d.params (Data_grid.cube 1024);
+  ]
+
 let prop_fill_matches_oracle =
   let gen =
     QCheck.Gen.(
+      let side = int_range 1 256 in
+      let thin = int_range 1 3 in
       let dims =
         oneof
           [
-            map (fun n -> (1, n)) (int_range 1 24);
-            map (fun n -> (n, 1)) (int_range 1 24);
+            pair thin side;
+            pair side thin;
             pair (int_range 1 24) (int_range 1 24);
+            pair side side;
           ]
       in
-      let app =
-        oneofl
-          [
-            Apps.Sweep3d.params (Data_grid.cube 48);
-            Apps.Lu.params (Data_grid.cube 48);
-            Apps.Chimaera.params (Data_grid.cube 48);
-          ]
-      in
-      tup6 (oneofl Loggp.Params.presets) (oneofl [ 1; 2; 4; 8 ]) dims bool bool
-        app)
+      tup6 (oneofl Loggp.Params.presets)
+        (oneofl [ 1; 2; 3; 4; 6; 8; 16 ])
+        dims bool bool (oneofl fill_apps))
   in
   let print (p, cpn, (cols, rows), sync_terms, contention, app) =
     Printf.sprintf "%s cpn=%d %dx%d sync=%b contention=%b %s"
@@ -477,48 +514,54 @@ let prop_fill_matches_oracle =
       app.App_params.name
   in
   QCheck.Test.make ~count:200
-    ~name:"iteration and Eval match the per-cell fill oracle bit for bit"
+    ~name:"iteration and Eval match the per-cell fill oracle within 4(n+m)eps"
     (QCheck.make ~print gen)
     (fun (platform, cpn, (cols, rows), sync_terms, contention, app) ->
-      let cfg_of ~cols ~rows =
-        Plugplay.config ~cmp:(Cmp.of_cores_per_node cpn)
-          ~pgrid:(Proc_grid.v ~cols ~rows) ~sync_terms ~contention
-          (Loggp.Params.with_cores_per_node platform cpn)
-          ~cores:(cols * rows)
-      in
+      let cfg_of = fill_cfg ~sync_terms ~contention platform ~cpn in
       let cfg = cfg_of ~cols ~rows in
       let r = Plugplay.iteration app cfg in
-      let diag, full =
-        fill_oracle cfg ~w:r.w ~w_pre:r.w_pre ~msg_ew:r.msg_ew
-          ~msg_ns:r.msg_ns
-      in
-      let c = App_params.counts app in
-      let t_iteration =
-        (float_of_int c.ndiag *. diag)
-        +. (float_of_int c.nfull *. full)
-        +. (float_of_int c.nsweeps *. r.t_stack)
-        +. r.t_nonwavefront
-      in
-      (* Each evaluator reuses one StartP row: run it twice, with an
-         evaluator for another grid run in between, and require the
-         oracle's bits every time. *)
+      (* Each evaluator reuses its corner scratch: run it twice, with an
+         evaluator for another grid run in between, and require
+         [iteration]'s bits every time. *)
       let e = Plugplay.Eval.create app cfg in
       let other =
         Plugplay.Eval.create app (cfg_of ~cols:(rows + 1) ~rows:(cols + 2))
       in
-      let matches_oracle () =
-        bits_equal diag (Plugplay.Eval.t_diagfill e)
-        && bits_equal full (Plugplay.Eval.t_fullfill e)
-        && bits_equal t_iteration (Plugplay.Eval.t_iteration e)
+      let matches_iteration () =
+        bits_equal r.t_diagfill (Plugplay.Eval.t_diagfill e)
+        && bits_equal r.t_fullfill (Plugplay.Eval.t_fullfill e)
+        && bits_equal r.t_iteration (Plugplay.Eval.t_iteration e)
       in
       Plugplay.Eval.run e;
-      let first = matches_oracle () in
+      let first = matches_iteration () in
       Plugplay.Eval.run other;
       Plugplay.Eval.run e;
-      bits_equal diag r.t_diagfill
-      && bits_equal full r.t_fullfill
-      && bits_equal t_iteration r.t_iteration
-      && first && matches_oracle ())
+      fill_matches_oracle app cfg r && first && matches_iteration ())
+
+(* Every grid up to three node rectangles (plus one) on each side: all
+   the ways the first and last corners can overlap, touch or part, and
+   every phase a thin side can end on. *)
+let test_fill_oracle_exhaustive () =
+  List.iter
+    (fun platform ->
+      List.iter
+        (fun cpn ->
+          let { Cmp.cx; cy } = Cmp.of_cores_per_node cpn in
+          for cols = 1 to 3 * (cx + 1) do
+            for rows = 1 to 3 * (cy + 1) do
+              List.iter
+                (fun app ->
+                  let cfg = fill_cfg platform ~cpn ~cols ~rows in
+                  if not (fill_matches_oracle app cfg (Plugplay.iteration app cfg))
+                  then
+                    Alcotest.failf "%s cpn=%d %dx%d %s: off the oracle"
+                      platform.Loggp.Params.name cpn cols rows
+                      app.App_params.name)
+                fill_apps
+            done
+          done)
+        [ 1; 2; 4; 8; 16 ])
+    Loggp.Params.presets
 
 let props =
   List.map QCheck_alcotest.to_alcotest
@@ -559,6 +602,8 @@ let suite =
           test_contention_matches_table6;
         Alcotest.test_case "fill uses on-chip links" `Quick
           test_multicore_fill_uses_onchip;
+        Alcotest.test_case "fill = oracle on every small grid" `Quick
+          test_fill_oracle_exhaustive;
       ] );
     ( "core.components",
       [

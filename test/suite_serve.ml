@@ -228,35 +228,64 @@ let test_sweep_deadline_checkpoints () =
   | `Done pts -> Alcotest.(check int) "all points" 64 (List.length pts)
   | `Expired _ -> Alcotest.fail "unbounded sweep expired"
 
-(* The deadline is checked by wall clock before every point, so a short
-   sweep cannot outrun it: 16 points on a 512x512 grid, with a budget
-   shorter than two points, stop after the first point or two. *)
+(* A Sweep3D sweep over [htiles] Htiles (1, 2, ...), the [grids] given
+   as "[cols,rows]" and [k] checkpoint intervals (0, 1, ...). *)
+let wide_sweep_body ~htiles ~grids ~k =
+  let ints n f = String.concat "," (List.init n f) in
+  Printf.sprintf
+    {|{"app":{"name":"sweep3d","nx":1024,"ny":1024,"nz":64},"machine":{"platform":"xt4","cores_per_node":2},"htile":[%s],"grids":[%s],"k":[%s]}|}
+    (ints htiles (fun i -> string_of_int (i + 1)))
+    (String.concat "," grids) (ints k string_of_int)
+
+(* The 16,384-point cap, filled: 16 Htiles x 16 grid shapes of 2^20
+   cores x 64 checkpoint intervals. *)
+let cap_sweep_body =
+  wide_sweep_body ~htiles:16 ~k:64
+    ~grids:
+      (List.init 16 (fun a ->
+           Printf.sprintf "[%d,%d]" (1 lsl (a + 3)) (1 lsl (17 - a))))
+
+(* The deadline is checked before every point, so a short sweep cannot
+   outrun it. A point costs microseconds, too little to place a wall
+   clock deadline between two of them, so the short sweep runs on a
+   clock that ticks one second per reading: with the deadline 1.5 s out,
+   the checks at 0 s and 1 s pass and the one at 2 s stops the sweep
+   after exactly two of its 16 points (checking every 16 points would
+   run all 16). On the wall clock, a 16,384-point sweep given half of
+   its own running time must stop partway. *)
 let test_sweep_deadline_every_point () =
-  let sweep ~htile ~k =
-    let body =
-      Printf.sprintf
-        {|{"app":{"name":"sweep3d","nx":1024,"ny":1024,"nz":64},"machine":{"platform":"xt4","cores_per_node":2},"htile":%s,"grids":[[512,512]],"k":%s}|}
-        htile k
-    in
+  let parse body =
     match Serve.Api.parse_sweep body with
     | Ok s -> s
     | Error m -> Alcotest.fail m
   in
-  let t0 = Unix.gettimeofday () in
-  (match Serve.Api.run_sweep ~deadline:Serve.Deadline.none
-           (sweep ~htile:"[1]" ~k:"[0]") with
-  | `Done [ _ ] -> ()
-  | _ -> Alcotest.fail "one-point sweep");
-  let point = Unix.gettimeofday () -. t0 in
-  let s = sweep ~htile:"[1,2,3,4]" ~k:"[0,4,8,16]" in
+  let s = parse (wide_sweep_body ~htiles:4 ~grids:[ "[512,512]" ] ~k:4) in
   Alcotest.(check int) "point count" 16 (Serve.Api.sweep_points s);
-  let deadline = Unix.gettimeofday () +. (1.5 *. point) in
-  match Serve.Api.run_sweep ~deadline s with
-  | `Expired n when n >= 1 && n < 16 -> ()
-  | `Expired n -> Alcotest.failf "expired after %d of 16 points" n
+  let ticks = ref (-1.0) in
+  let clock () =
+    ticks := !ticks +. 1.0;
+    !ticks
+  in
+  (match Serve.Api.run_sweep ~clock ~deadline:1.5 s with
+  | `Expired 2 -> ()
+  | `Expired n -> Alcotest.failf "expired after %d of 16 points, not 2" n
+  | `Done _ -> Alcotest.fail "a 1.5-tick budget let all 16 points run");
+  let big = parse cap_sweep_body in
+  let time_full () =
+    let t0 = Unix.gettimeofday () in
+    (match Serve.Api.run_sweep ~deadline:Serve.Deadline.none big with
+    | `Done _ -> ()
+    | `Expired _ -> Alcotest.fail "unbounded sweep expired");
+    Unix.gettimeofday () -. t0
+  in
+  let full = List.fold_left Float.min infinity (List.init 5 (fun _ -> time_full ())) in
+  let deadline = Unix.gettimeofday () +. (full /. 2.0) in
+  match Serve.Api.run_sweep ~deadline big with
+  | `Expired n when n >= 1 && n < 16_384 -> ()
+  | `Expired n -> Alcotest.failf "expired after %d of 16,384 points" n
   | `Done _ ->
-      Alcotest.failf "a %.0f ms budget let all 16 points run"
-        (1500.0 *. point)
+      Alcotest.failf "a %.1f ms budget let all 16,384 points run"
+        (500.0 *. full)
 
 let test_pareto_frontier () =
   let s =
@@ -460,6 +489,102 @@ let test_worker_buffer_reuse () =
     (String.length oversized > Serve.Http.max_header_bytes);
   Alcotest.(check (option int)) "oversized header block 413" (Some 413)
     (status_of (post ~port ~headers:oversized "/v1/predict" body))
+
+(* The point cap: 16 Htiles x 16 grid shapes of 2^20 cores x 64
+   checkpoint intervals = 16,384 points, the most a sweep may ask for,
+   all answered inside the default deadline; one point more is refused
+   before any is evaluated. *)
+let test_sweep_point_cap () =
+  with_server @@ fun port ->
+  Alcotest.(check int) "the cap" 16_384 Serve.Api.max_sweep_points;
+  let raw = post ~port "/v1/sweep" cap_sweep_body in
+  Alcotest.(check (option int)) "16,384 points: 200" (Some 200) (status_of raw);
+  let j = Obs.Json.of_string (body_of raw) in
+  Alcotest.(check (float 0.0)) "points" 16_384.0
+    (Obs.Json.get_num "points" (Obs.Json.member "points" j));
+  (match Obs.Json.member "evaluated" j with
+  | Some (Obs.Json.List l) ->
+      Alcotest.(check int) "every point evaluated" 16_384 (List.length l)
+  | _ -> Alcotest.fail "no evaluated list");
+  let over =
+    wide_sweep_body ~htiles:5 ~k:113
+      ~grids:(List.init 29 (fun _ -> "[1024,1024]"))
+  in
+  Alcotest.(check (option int)) "16,385 points: 400" (Some 400)
+    (status_of (post ~port "/v1/sweep" over))
+
+(* --- Http header reads ------------------------------------------------ *)
+
+(* A datagram socket pair hands each write to exactly one read, so a test
+   decides where a request is split across reads. *)
+let with_dgram_pair f =
+  let r, w = Unix.socketpair Unix.PF_UNIX Unix.SOCK_DGRAM 0 in
+  Fun.protect
+    ~finally:(fun () ->
+      Unix.close r;
+      Unix.close w)
+    (fun () -> f r w)
+
+let send_datagram w s off len =
+  let n = Unix.write_substring w s off len in
+  assert (n = len)
+
+let read_healthz ~scratch ~what r =
+  match
+    Serve.Http.read_request ~scratch
+      ~deadline:(Unix.gettimeofday () +. 30.0)
+      r
+  with
+  | Ok req ->
+      Alcotest.(check string) (what ^ ": path") "/healthz" req.path;
+      Alcotest.(check (option string))
+        (what ^ ": host") (Some "t")
+        (Serve.Http.header req "Host")
+  | Error _ -> Alcotest.failf "%s: no request read" what
+
+(* The header terminator may straddle two reads anywhere, including
+   inside itself: split a CRLF and a bare-LF request at every offset. *)
+let test_header_split_every_offset () =
+  let scratch = Serve.Http.scratch () in
+  List.iter
+    (fun raw ->
+      let len = String.length raw in
+      for k = 1 to len - 1 do
+        with_dgram_pair (fun r w ->
+            send_datagram w raw 0 k;
+            send_datagram w raw k (len - k);
+            read_healthz ~scratch ~what:(Printf.sprintf "%S split at %d" raw k) r)
+      done)
+    [ "GET /healthz HTTP/1.1\r\nHost: t\r\n\r\n"; "GET /healthz HTTP/1.1\nHost: t\n\n" ]
+
+(* A 15 KB header dribbled one byte per read must cost CPU linear in its
+   length. Rescanning the whole block after every read took ~0.5 s of
+   user CPU on this input (2-CPU x86-64 container); scanning only the
+   new bytes takes ~0.01 s. *)
+let test_header_dribble_linear () =
+  let scratch = Serve.Http.scratch () in
+  let padding =
+    String.concat ""
+      (List.init 150 (fun i ->
+           Printf.sprintf "X-Pad-%03d: %s\r\n" i (String.make 88 'p')))
+  in
+  let raw = "GET /healthz HTTP/1.1\r\nHost: t\r\n" ^ padding ^ "\r\n" in
+  with_dgram_pair (fun r w ->
+      let writer =
+        Domain.spawn (fun () ->
+            for i = 0 to String.length raw - 1 do
+              send_datagram w raw i 1
+            done)
+      in
+      let t0 = Unix.times () in
+      read_healthz ~scratch ~what:"dribbled 15 KB header" r;
+      let t1 = Unix.times () in
+      Domain.join writer;
+      let user = t1.Unix.tms_utime -. t0.Unix.tms_utime in
+      Alcotest.(check bool)
+        (Printf.sprintf "%d one-byte reads took %.3f s of user CPU"
+           (String.length raw) user)
+        true (user < 0.25))
 
 let test_shedding_429 () =
   (* One worker and a one-slot queue: a slow-loris pins the worker for
@@ -718,6 +843,12 @@ let suite =
           test_breaker_degrades_and_recovers;
         Alcotest.test_case "drain answers the backlog" `Quick
           test_drain_answers_backlog;
+        Alcotest.test_case "header terminator split at every offset" `Quick
+          test_header_split_every_offset;
+        Alcotest.test_case "dribbled header scans linearly" `Quick
+          test_header_dribble_linear;
+        Alcotest.test_case "a sweep at the 16,384-point cap" `Quick
+          test_sweep_point_cap;
       ] );
     ( "serve.slam",
       [

@@ -104,34 +104,46 @@ let test_eval_zero_alloc () =
         0.0 a.minor_words_per_iter)
     eval_cases
 
-(* A served predict allocates nothing per core: Eval.create's tables are
-   O(cols + rows) and the fill allocates nothing, so going from 4096 to
-   65,536 cores adds well under one minor word per added core. A
-   per-cell allocation anywhere on the path costs tens of words per
-   core. *)
+(* Nothing on the served predict path grows with the core count:
+   Eval.create's tables have one entry per core of a node side and
+   Eval.run fills two node-sized corners, so at 4096 and at 2^20 cores
+   (cpn 2, the same 1x2 rectangle) create + run allocate the same minor
+   words. The whole predict_into may differ only by the rendering of its
+   numbers: %.17g strings differ in length with the value (1295 and 1294
+   words measured). Probing the node rectangle once per column and row,
+   as the O(cols + rows) tables did, costs ~28k more words at 2^20. *)
 let test_predict_alloc_flat_in_cores () =
-  let words cores =
-    let body =
-      Printf.sprintf
-        {|{"app":{"name":"sweep3d","nx":256,"ny":256,"nz":256},"machine":{"platform":"xt4","cores":%d,"cores_per_node":2}}|}
-        cores
-    in
-    let buf = Buffer.create 4096 in
-    let a =
-      Obs.Runtime.measure_alloc ~iterations:20 (fun () ->
-          match Serve.Api.predict_into buf body with
-          | Ok () -> ()
-          | Error m -> failwith m)
-    in
-    a.minor_words_per_iter
+  let body cores =
+    Printf.sprintf
+      {|{"app":{"name":"sweep3d","nx":256,"ny":256,"nz":256},"machine":{"platform":"xt4","cores":%d,"cores_per_node":2}}|}
+      cores
   in
-  let small = words 4096 and large = words 65_536 in
-  let per_core = (large -. small) /. float_of_int (65_536 - 4096) in
+  let words f = (Obs.Runtime.measure_alloc ~iterations:20 f).minor_words_per_iter in
+  let eval_words cores =
+    match Serve.Api.parse_predict (body cores) with
+    | Error m -> Alcotest.fail m
+    | Ok p ->
+        words (fun () ->
+            let e = Plugplay.Eval.create p.app p.cfg in
+            Plugplay.Eval.run e)
+  in
+  let predict_words cores =
+    let buf = Buffer.create 4096 in
+    let body = body cores in
+    words (fun () ->
+        match Serve.Api.predict_into buf body with
+        | Ok () -> ()
+        | Error m -> failwith m)
+  in
+  Alcotest.(check (float 0.0))
+    "Eval.create + run: the same words at 4096 and 2^20 cores"
+    (eval_words 4096) (eval_words 1_048_576);
+  let small = predict_words 4096 and large = predict_words 1_048_576 in
   Alcotest.(check bool)
-    (Printf.sprintf
-       "%.3f words per added core (4096 cores: %.0f, 65536 cores: %.0f)"
-       per_core small large)
-    true (per_core < 1.0)
+    (Printf.sprintf "predict_into: %.0f words at 4096 cores, %.0f at 2^20"
+       small large)
+    true
+    (Float.abs (large -. small) <= 16.0)
 
 (* --- Batched.Steady: the engine's steady-state unit of work --- *)
 
@@ -322,8 +334,9 @@ let suite =
           test_eval_matches_iteration;
         Alcotest.test_case "rerun stability" `Quick test_eval_rerun_stable;
         Alcotest.test_case "zero-alloc contract" `Quick test_eval_zero_alloc;
-        Alcotest.test_case "served predict allocates nothing per core"
-          `Quick test_predict_alloc_flat_in_cores;
+        Alcotest.test_case
+          "served predict allocates the same at 4096 and 2^20 cores" `Quick
+          test_predict_alloc_flat_in_cores;
       ] );
     ( "telemetry.steady",
       [
